@@ -45,7 +45,7 @@ WORKLOAD_NAMES = ("sensor-stream", "bulk-roundtrip", "audit-readback")
 FAULTS = ("none", "wrong-key")
 
 # Server starts per run; setup_s and cli.serve_ready_s are their medians.
-SETUP_REPS = 3
+SETUP_REPS = 5
 READY_TIMEOUT_S = 30.0
 STOP_TIMEOUT_S = 10.0
 PR_SET_PDEATHSIG = 1

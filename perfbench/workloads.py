@@ -35,6 +35,12 @@ SENSOR_TICK_S = 1.5
 SENSOR_SPREAD_S = 0.03
 # Reads stop this long before the next tick is due, so they never delay it.
 SENSOR_READ_MARGIN_S = 0.1
+# Each device's log rolls over to a fresh device id every this many
+# ticks, so a read covers 1 to SENSOR_LOG_TICKS records wherever it
+# falls in the run.  Read cost then does not grow with the run, and the
+# ten slowest reads, which set readback_tail_ms, come from the whole run
+# rather than from the host's speed during its last few ticks.
+SENSOR_LOG_TICKS = 4
 # A backlogged open loop stops issuing at this multiple of the run
 # length; sends still unissued then count as failed.
 OPEN_LOOP_GRACE = 2.0
@@ -233,13 +239,15 @@ def verify(records, blob: bytes, plain: list, expected: list) -> str:
 def sensor_stream(client: Client, seed: int, seconds: float) -> None:
     """Open loop of 250 B readings in per-tick bursts over one keep-alive
     session.  Once a tick's readings are acked, the idle time before the
-    next tick reads every device's history back."""
+    next tick reads every device's current log back."""
     rng = Random(seed)
-    devices = [f"sensor-{j:02d}" for j in range(SENSOR_DEVICES)]
+    n_ticks = math.ceil(seconds / SENSOR_TICK_S)
+    logs = [[f"sensor-{j:02d}-log{k // SENSOR_LOG_TICKS:03d}"
+             for j in range(SENSOR_DEVICES)] for k in range(n_ticks)]
     ticks = [sorted((k * SENSOR_TICK_S + rng.uniform(0, SENSOR_SPREAD_S), device,
-                     rng.randbytes(SENSOR_BYTES)) for device in devices)
-             for k in range(math.ceil(seconds / SENSOR_TICK_S))]
-    unissued = len(ticks) * len(devices)
+                     rng.randbytes(SENSOR_BYTES)) for device in logs[k])
+             for k in range(n_ticks)]
+    unissued = n_ticks * SENSOR_DEVICES
 
     session = client.session()
     try:
@@ -260,7 +268,7 @@ def sensor_stream(client: Client, seed: int, seconds: float) -> None:
                 unissued -= 1
             read_until = t0 + (k + 1) * SENSOR_TICK_S - SENSOR_READ_MARGIN_S
             last = k + 1 == len(ticks)
-            for device in devices:
+            for device in logs[k]:
                 if not last and time.perf_counter() > read_until:
                     break
                 client.read(device)
