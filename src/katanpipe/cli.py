@@ -198,8 +198,8 @@ def cmd_decrypt(args) -> int:
 
 def cmd_serve(args) -> int:
     addr = args.addr if isinstance(args.addr, tuple) else _addr_type(args.addr)
-    server = create_server(addr, BlobStore(args.data),
-                           max_decoded=args.max_payload)
+    store = BlobStore(args.data)
+    server = create_server(addr, store, max_decoded=args.max_payload)
     host, port = server.server_address[:2]
     print(f"serving on http://{host}:{port} data={args.data}", flush=True)
     try:
@@ -208,6 +208,7 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.server_close()
+        store.close()
     return 0
 
 

@@ -1,30 +1,36 @@
 """Ingest service and client for ciphertext-at-rest telemetry.
 
 The server accepts JSON envelopes over HTTP, validates them, and appends
-the decoded ciphertext to a per-device ``.bin`` file plus one line per
-message in a ``.meta`` file.  Nothing in this module can decrypt: no key
-ever reaches the server, and stored bytes are exactly the ciphertext
-that arrived.  Appends are serialized per device and fsynced before the
-request is acknowledged.
+each message as one record to a single append-only ``store.log`` in the
+data directory.  A record carries a crc32, the device id, ``seq``,
+``ts_ms``, ``plaintext_len`` and the ciphertext.  Nothing in this module
+can decrypt: no key ever reaches the server, and stored bytes are
+exactly the ciphertext that arrived.  Appends are serialized and each is
+fsynced once before the request is acknowledged; a torn tail left by a
+crash is cut off when the store is reopened.
 
 Routes:
 
 * ``POST /api/v1/ingest`` -> ``{"status": "ok", "stored": N}`` on 200,
   ``{"status": "rejected", "reason": ...}`` on 400/413/500
-* ``GET /api/v1/devices/{id}/blob`` -> raw stored ciphertext
+* ``GET /api/v1/devices/{id}/blob`` -> the device's stored ciphertext,
+  concatenated in append order
 * ``GET /api/v1/devices/{id}/meta`` -> one ``seq ts_ms plaintext_len
-  offset length`` line per message
+  offset length`` line per message, with offsets into that blob
 * ``GET /health`` -> ``ok``
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import os
 import re
+import struct
 import threading
 import time
+import zlib
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -51,7 +57,8 @@ DEFAULT_BACKOFF_S = 0.25
 
 _log = logging.getLogger(__name__)
 
-# Kept to a filesystem-safe alphabet because the id becomes a filename.
+# No whitespace: the id is a field of the space-separated meta in each
+# store log record.
 _DEVICE_ID_RE = re.compile(r"[A-Za-z0-9._-]{1,64}\Z")
 
 _BLOB_RE = re.compile(rf"{API_PREFIX}/devices/([^/]+)/blob\Z")
@@ -92,58 +99,116 @@ class MetaRecord:
         return cls(seq, ts_ms, plaintext_len, offset, length)
 
 
+LOG_NAME = "store.log"
+
+# A record is _HEAD, the ASCII meta "device_id seq ts_ms plaintext_len",
+# then the ciphertext.  The crc32 covers everything after itself, so a
+# torn or corrupt tail fails the check when the log is reopened.
+_HEAD = struct.Struct("<III")  # crc32, meta length, ciphertext length
+
+
+def _record_head(meta: bytes, ciphertext: bytes) -> bytes:
+    lengths = struct.pack("<II", len(meta), len(ciphertext))
+    crc = zlib.crc32(ciphertext, zlib.crc32(lengths + meta))
+    return struct.pack("<I", crc) + lengths + meta
+
+
 class BlobStore:
-    """Append-only per-device ciphertext files under one root directory."""
+    """All devices' messages in one append-only, crc-checked log file."""
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._locks = {}
-        self._locks_guard = threading.Lock()
+        path = self.root / LOG_NAME
+        try:
+            self._fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o644)
+        except FileExistsError:
+            self._fd = os.open(path, os.O_RDWR)
+        else:
+            # Make the new file's directory entry durable too.
+            dir_fd = os.open(self.root, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+        self._lock = threading.Lock()
+        self._index = {}
+        self._end = self._recover()
 
-    def _lock_for(self, device_id: str) -> threading.Lock:
-        with self._locks_guard:
-            return self._locks.setdefault(device_id, threading.Lock())
+    def close(self) -> None:
+        os.close(self._fd)
 
-    def _bin_path(self, device_id: str) -> Path:
-        return self.root / f"{device_id}.bin"
+    def _recover(self) -> int:
+        """Index every whole record and cut off a torn or corrupt tail."""
+        size = os.fstat(self._fd).st_size
+        pos = 0
+        while pos + _HEAD.size <= size:
+            head = os.pread(self._fd, _HEAD.size, pos)
+            crc, meta_len, length = _HEAD.unpack(head)
+            body_pos = pos + _HEAD.size + meta_len
+            if body_pos + length > size:
+                break
+            rest = os.pread(self._fd, meta_len + length, pos + _HEAD.size)
+            if zlib.crc32(rest, zlib.crc32(head[4:])) != crc:
+                break
+            try:
+                device_id, *fields = rest[:meta_len].decode("ascii").split()
+                seq, ts_ms, plaintext_len = map(int, fields)
+            except ValueError:
+                break
+            self._index_record(device_id, seq, ts_ms, plaintext_len, body_pos, length)
+            pos = body_pos + length
+        if pos < size:
+            _log.warning("cutting %d torn bytes off the end of %s",
+                         size - pos, self.root / LOG_NAME)
+            os.ftruncate(self._fd, pos)
+            os.fsync(self._fd)
+        return pos
 
-    def _meta_path(self, device_id: str) -> Path:
-        return self.root / f"{device_id}.meta"
+    def _index_record(self, device_id: str, seq: int, ts_ms: int,
+                      plaintext_len: int, body_pos: int, length: int) -> MetaRecord:
+        entries = self._index.setdefault(device_id, [])
+        offset = entries[-1][0].offset + entries[-1][0].length if entries else 0
+        record = MetaRecord(seq, ts_ms, plaintext_len, offset, length)
+        entries.append((record, body_pos))
+        return record
+
+    def _entries(self, device_id: str) -> list:
+        check_device_id(device_id)
+        # Appends only extend the list, so a copy is a consistent snapshot.
+        entries = list(self._index.get(device_id, ()))
+        if not entries:
+            raise UnknownDevice(f"nothing stored for {device_id!r}")
+        return entries
 
     def append(self, device_id: str, ciphertext: bytes, *,
                seq: int, ts_ms: int, plaintext_len: int) -> MetaRecord:
         """Durably append one message; returns its meta record."""
         check_device_id(device_id)
-        with self._lock_for(device_id):
-            with open(self._bin_path(device_id), "ab") as f:
-                offset = f.tell()
-                f.write(ciphertext)
-                f.flush()
-                os.fsync(f.fileno())
-            record = MetaRecord(seq, ts_ms, plaintext_len, offset, len(ciphertext))
-            with open(self._meta_path(device_id), "a", encoding="ascii") as f:
-                f.write(record.line() + "\n")
-                f.flush()
-                os.fsync(f.fileno())
-        return record
+        meta = f"{device_id} {seq} {ts_ms} {plaintext_len}".encode("ascii")
+        head = _record_head(meta, ciphertext)
+        size = len(head) + len(ciphertext)
+        with self._lock:
+            end = self._end
+            try:
+                if os.pwritev(self._fd, [head, ciphertext], end) != size:
+                    raise OSError(errno.EIO, "short write to the store log")
+                os.fsync(self._fd)
+            except OSError:
+                # A partial record left in place would end the scan on
+                # reopen and hide every record acknowledged after it.
+                os.ftruncate(self._fd, end)
+                raise
+            self._end = end + size
+            return self._index_record(device_id, seq, ts_ms, plaintext_len,
+                                      end + len(head), len(ciphertext))
 
     def fetch_blob(self, device_id: str) -> bytes:
-        check_device_id(device_id)
-        path = self._bin_path(device_id)
-        if not path.exists():
-            raise UnknownDevice(f"no blob stored for {device_id!r}")
-        with self._lock_for(device_id):
-            return path.read_bytes()
+        return b"".join(os.pread(self._fd, record.length, body_pos)
+                        for record, body_pos in self._entries(device_id))
 
     def fetch_meta(self, device_id: str) -> list:
-        check_device_id(device_id)
-        path = self._meta_path(device_id)
-        if not path.exists():
-            raise UnknownDevice(f"no meta stored for {device_id!r}")
-        with self._lock_for(device_id):
-            text = path.read_text(encoding="ascii")
-        return [MetaRecord.parse(line) for line in text.splitlines() if line.strip()]
+        return [record for record, _ in self._entries(device_id)]
 
 
 @dataclass(frozen=True)
@@ -246,6 +311,8 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
+            length = -1
+        if length < 0:
             self._reject(400, "MalformedJson")
             return
         # Base64 inflates by 4/3, so this cap cannot reject a body whose
@@ -308,11 +375,10 @@ def _post_with_retry(session, url: str, body: str, *,
         except ValueError:
             detail = resp.text[:200]
         raise ServerRejected(resp.status_code, detail)
-    raise ConnectionFailed(f"could not reach {url}")
 
 
 def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
-                 per_chunk: bool = False, cipher: str = "KATAN32",
+                 per_chunk: bool = False,
                  retries: int = DEFAULT_RETRIES,
                  backoff_s: float = DEFAULT_BACKOFF_S,
                  timeout: float = 10.0, sleep=time.sleep,
@@ -321,9 +387,12 @@ def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
 
     By default the whole payload goes in one envelope; with
     ``per_chunk=True`` each 256-byte chunk is sent as its own envelope.
-    Sequence numbers start at 0 for every call.  Returns one IngestAck
-    per envelope, in send order.
+    Sequence numbers start at 0 for every call.  Each envelope gets up to
+    ``retries`` attempts, at least one.  Returns one IngestAck per
+    envelope, in send order.
     """
+    if retries < 1:
+        raise ValueError(f"retries must be at least 1, got {retries}")
     if not data:
         raise EmptyInput("cannot send an empty payload")
     check_device_id(device_id)
@@ -340,7 +409,7 @@ def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
         for seq, unit in enumerate(units):
             ciphertext, plaintext_len = encrypt_payload(unit, key)
             env = Envelope(device_id=device_id, seq=seq, ts_ms=now_ms(),
-                           cipher=cipher, plaintext_len=plaintext_len,
+                           cipher="KATAN32", plaintext_len=plaintext_len,
                            ciphertext=ciphertext)
             resp = _post_with_retry(
                 session, url, encode_envelope(env),

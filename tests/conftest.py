@@ -43,3 +43,4 @@ def ingest_server(tmp_path):
     finally:
         server.shutdown()
         server.server_close()
+        store.close()

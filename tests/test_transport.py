@@ -1,4 +1,6 @@
+import os
 import random
+import socket
 import threading
 
 import pytest
@@ -8,6 +10,7 @@ from katanpipe import errors
 from katanpipe.codec import Envelope, decrypt_payload, encode_envelope, encrypt_payload
 from katanpipe.katan import Key80
 from katanpipe.transport import (
+    LOG_NAME,
     BlobStore,
     MetaRecord,
     check_device_id,
@@ -67,11 +70,97 @@ class TestBlobStore:
         assert store.fetch_blob("dev") == b"\xAA" * 256 + b"\xBB" * 512
         assert store.fetch_meta("dev") == [r1, r2]
 
-    def test_files_on_disk(self, tmp_path):
+    def test_data_dir_holds_only_the_log(self, tmp_path):
         store = BlobStore(tmp_path)
         store.append("sensor.9", b"\x01" * 16, seq=0, ts_ms=1, plaintext_len=16)
-        assert (tmp_path / "sensor.9.bin").read_bytes() == b"\x01" * 16
-        assert (tmp_path / "sensor.9.meta").read_text() == "0 1 16 0 16\n"
+        store.append("sensor.7", b"\x02" * 16, seq=0, ts_ms=2, plaintext_len=16)
+        store.close()
+        assert os.listdir(tmp_path) == [LOG_NAME]
+
+    def test_reopen_reads_back_every_record(self, tmp_path):
+        store = BlobStore(tmp_path)
+        records = {"a": [], "b": []}
+        for i in range(6):
+            device = "ab"[i % 2]
+            records[device].append(store.append(
+                device, bytes([i]) * 256 * (i + 1), seq=i, ts_ms=1000 + i,
+                plaintext_len=200 + i))
+        blobs = {d: store.fetch_blob(d) for d in records}
+        store.close()
+        reopened = BlobStore(tmp_path)
+        try:
+            for device, expected in records.items():
+                assert reopened.fetch_meta(device) == expected
+                assert reopened.fetch_blob(device) == blobs[device]
+        finally:
+            reopened.close()
+
+    def test_torn_last_record_is_cut_on_reopen(self, tmp_path):
+        store = BlobStore(tmp_path)
+        kept = [store.append("a", b"\x01" * 256, seq=0, ts_ms=1, plaintext_len=256),
+                store.append("b", b"\x02" * 512, seq=0, ts_ms=2, plaintext_len=300)]
+        log_path = tmp_path / LOG_NAME
+        good_end = log_path.stat().st_size
+        store.append("a", b"\x03" * 256, seq=1, ts_ms=3, plaintext_len=5)
+        store.close()
+        whole = log_path.read_bytes()
+        for cut in range(good_end, len(whole)):
+            # Rewrite in place: truncating a file to zero can force a
+            # slow flush on ext4.
+            with open(log_path, "r+b") as f:
+                f.write(whole[:cut])
+                f.truncate()
+            store = BlobStore(tmp_path)
+            try:
+                assert log_path.stat().st_size == good_end, cut
+                assert store.fetch_meta("a") == kept[:1]
+                assert store.fetch_meta("b") == kept[1:]
+                assert store.fetch_blob("a") == b"\x01" * 256
+                rec = store.append("a", b"\x04" * 256, seq=2, ts_ms=4, plaintext_len=9)
+                assert (rec.offset, rec.length) == (256, 256)
+                assert store.fetch_blob("a") == b"\x01" * 256 + b"\x04" * 256
+            finally:
+                store.close()
+
+    def test_corrupt_last_record_is_cut_on_reopen(self, tmp_path):
+        store = BlobStore(tmp_path)
+        store.append("a", b"\x01" * 256, seq=0, ts_ms=1, plaintext_len=256)
+        store.append("a", b"\x02" * 256, seq=1, ts_ms=2, plaintext_len=256)
+        store.close()
+        with open(tmp_path / LOG_NAME, "r+b") as f:
+            f.seek(-1, os.SEEK_END)
+            last = f.read(1)[0]
+            f.seek(-1, os.SEEK_END)
+            f.write(bytes([last ^ 0xFF]))
+        store = BlobStore(tmp_path)
+        try:
+            assert [r.seq for r in store.fetch_meta("a")] == [0]
+            assert store.fetch_blob("a") == b"\x01" * 256
+        finally:
+            store.close()
+
+    def test_failed_append_leaves_no_partial_record(self, tmp_path, monkeypatch):
+        store = BlobStore(tmp_path)
+        first = store.append("a", b"\x01" * 256, seq=0, ts_ms=1, plaintext_len=256)
+        size = (tmp_path / LOG_NAME).stat().st_size
+
+        def failing_fsync(fd):
+            raise OSError("disk gone")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "fsync", failing_fsync)
+            with pytest.raises(OSError):
+                store.append("a", b"\x02" * 256, seq=1, ts_ms=2, plaintext_len=256)
+        assert (tmp_path / LOG_NAME).stat().st_size == size
+        assert store.fetch_meta("a") == [first]
+        second = store.append("a", b"\x03" * 256, seq=2, ts_ms=3, plaintext_len=256)
+        store.close()
+        store = BlobStore(tmp_path)
+        try:
+            assert store.fetch_meta("a") == [first, second]
+            assert store.fetch_blob("a") == b"\x01" * 256 + b"\x03" * 256
+        finally:
+            store.close()
 
     def test_unknown_device(self, tmp_path):
         store = BlobStore(tmp_path)
@@ -180,6 +269,19 @@ class TestHttpServer:
         assert resp.status_code == 400
         assert resp.json()["reason"] == "MalformedJson"
 
+    @pytest.mark.parametrize("length", ["-5", "-1"])
+    def test_negative_content_length_400(self, ingest_server, length):
+        base, _ = ingest_server
+        port = int(base.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
+            sock.sendall(f"POST /api/v1/ingest HTTP/1.1\r\nHost: x\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode("ascii"))
+            with sock.makefile("rb") as reply:
+                status = reply.readline()
+                body = reply.read()  # the server closes after a rejection
+        assert status.startswith(b"HTTP/1.1 400 ")
+        assert body.endswith(b'{"status": "rejected", "reason": "MalformedJson"}')
+
     def test_oversize_413(self, tmp_path):
         server = create_server(("127.0.0.1", 0), BlobStore(tmp_path), max_decoded=256)
         threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -285,6 +387,14 @@ class TestClient:
         with pytest.raises(errors.ConnectionFailed):
             send_payload("http://127.0.0.1:9", "dev", make_key(3), b"x",
                          retries=1, sleep=sleeps.append, timeout=0.5)
+        assert sleeps == []
+
+    @pytest.mark.parametrize("retries", [0, -1])
+    def test_retries_below_one_rejected(self, retries):
+        sleeps = []
+        with pytest.raises(ValueError):
+            send_payload("http://127.0.0.1:9", "dev", make_key(3), b"x",
+                         retries=retries, sleep=sleeps.append, timeout=0.5)
         assert sleeps == []
 
     def test_fetch_unknown_device(self, ingest_server):
