@@ -2,7 +2,8 @@
 
 A payload is split into 256-byte chunks (the last one zero padded), each
 chunk is reinterpreted as 32 little-endian 64-bit words, and those words
-are exactly one bitsliced KATAN32 batch.  Padding is never removed by
+are exactly one bitsliced KATAN32 batch.  The cipher runs on up to
+SLAB_CHUNKS chunks side by side per call.  Padding is never removed by
 inspection: the plaintext length rides alongside the ciphertext and is
 authoritative, so payloads ending in zero bytes survive the round trip.
 
@@ -32,12 +33,14 @@ from .errors import (
     Oversize,
     UnknownCipher,
 )
-from .katan import Key80, broadcast_key, decrypt_batch, encrypt_batch
+from .katan import BATCH_WORDS, Key80, _decrypt_words, _encrypt_words, _subkey_words
 
 CHUNK_BYTES = 256
-WORDS_PER_CHUNK = 32
+# Chunks per cipher call (64 KiB): caps the working set, and so peak
+# RAM, however large the payload is.
+SLAB_CHUNKS = 256
 
-_WORD_STRUCT = struct.Struct("<32Q")
+_WORD_STRUCT = struct.Struct(f"<{BATCH_WORDS}Q")
 
 ENVELOPE_FIELDS = ("device_id", "seq", "ts_ms", "cipher", "plaintext_len", "payload")
 
@@ -89,6 +92,34 @@ def _plaintext_len_bounds(ciphertext_len: int) -> tuple:
     return (chunks - 1) * CHUNK_BYTES + 1, chunks * CHUNK_BYTES
 
 
+def _crypt_slabs(kernel, data, key: Key80, keep: int) -> bytes:
+    """Run ``kernel`` over ``data`` a slab of up to SLAB_CHUNKS chunks at
+    a time and return the first ``keep`` bytes of the result.
+
+    Word b of an n-chunk slab is one int holding word b of chunk c in
+    bits 64c..64c+63.  The "Q" casts only step over raw 8-byte groups,
+    and from_bytes/to_bytes fix little-endian, so the host's byte order
+    never enters.
+    """
+    step = SLAB_CHUNKS * CHUNK_BYTES
+    out = []
+    for start in range(0, keep, step):
+        slab = bytes(data[start:start + step])
+        slab += bytes(-len(slab) % CHUNK_BYTES)
+        width = len(slab) // BATCH_WORDS
+        q = memoryview(slab).cast("Q")
+        words = kernel([int.from_bytes(q[b::BATCH_WORDS], "little")
+                        for b in range(BATCH_WORDS)],
+                       _subkey_words(key.value, (1 << 8 * width) - 1))
+        res = bytearray(len(slab))
+        with memoryview(res).cast("Q") as rq:
+            for b, w in enumerate(words):
+                rq[b::BATCH_WORDS] = memoryview(w.to_bytes(width, "little")).cast("Q")
+        del res[keep - start:]
+        out.append(res)
+    return b"".join(out)
+
+
 def encrypt_payload(data: bytes, key: Key80) -> tuple:
     """Encrypt a payload; returns (ciphertext, plaintext_len).
 
@@ -96,11 +127,8 @@ def encrypt_payload(data: bytes, key: Key80) -> tuple:
     """
     if not data:
         raise EmptyInput("cannot encrypt an empty payload")
-    words_key = broadcast_key(key)
-    out = bytearray()
-    for chunk in chunk_stream(data):
-        out += _WORD_STRUCT.pack(*encrypt_batch(pack_bytes(chunk.data), words_key))
-    return bytes(out), len(data)
+    padded = len(data) + -len(data) % CHUNK_BYTES
+    return _crypt_slabs(_encrypt_words, data, key, padded), len(data)
 
 
 def decrypt_payload(ciphertext: bytes, plaintext_len: int, key: Key80) -> bytes:
@@ -113,12 +141,7 @@ def decrypt_payload(ciphertext: bytes, plaintext_len: int, key: Key80) -> bytes:
     if not isinstance(plaintext_len, int) or not lo <= plaintext_len <= hi:
         raise BadPlaintextLen(
             f"plaintext_len {plaintext_len} impossible for {n} ciphertext bytes")
-    words_key = broadcast_key(key)
-    out = bytearray()
-    for start in range(0, n, CHUNK_BYTES):
-        words = _WORD_STRUCT.unpack(ciphertext[start:start + CHUNK_BYTES])
-        out += _WORD_STRUCT.pack(*decrypt_batch(words, words_key))
-    return bytes(out[:plaintext_len])
+    return _crypt_slabs(_decrypt_words, ciphertext, key, plaintext_len)
 
 
 @dataclass(frozen=True)
@@ -176,7 +199,9 @@ def decode_envelope(text) -> Envelope:
             raise MalformedJson("body is not valid UTF-8") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:
+        # JSONDecodeError, or a plain ValueError for an integer longer
+        # than Python's int-string digit limit.
         raise MalformedJson("body is not valid JSON") from None
     if not isinstance(obj, dict):
         raise MalformedJson("envelope must be a JSON object")

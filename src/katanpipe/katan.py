@@ -1,10 +1,17 @@
-"""KATAN32 block cipher in two interchangeable forms.
+"""KATAN32 block cipher with one bitsliced core for every width.
 
-The scalar form works on one 32-bit block at a time and exists as the
-readable reference.  The bitsliced form works on 64 blocks at once: a
-batch is 32 machine words of 64 bits, where bit ``j`` of word ``b`` is
-bit ``b`` of the block in lane ``j``.  Both forms share the same key
-schedule and round constants and always agree lane for lane.
+The core runs the 254 rounds on 32 words, where word ``b`` carries bit
+``b`` of every block in flight: words 0..18 are register L2 and words
+19..31 are register L1.  Bitslicing needs no fixed word size, so the
+same two functions serve every caller and only the width of ``ones``,
+the all-ones word each subkey bit is widened to, differs:
+
+* ``encrypt_block``/``decrypt_block``: one block, words are single bits
+  and ``ones = 1``.  The arithmetic is branch-free, so a numpy uint64
+  array encrypts elementwise; nothing in this module imports numpy.
+* ``encrypt_batch``/``decrypt_batch``: 64 lanes, ``ones = MASK64``.
+* The codec's payload path: up to a fixed number of 256-byte chunks per
+  call, chunk ``c`` in bits 64c..64c+63 of each word.
 
 Bit conventions, fixed once and used everywhere:
 
@@ -14,10 +21,6 @@ Bit conventions, fixed once and used everywhere:
   bit 31 loads L1 position 12.
 * Register L1 has 13 bits with feedback taps (12, 7, 8, 5, 3); register
   L2 has 19 bits with taps (18, 7, 12, 10, 8, 3).
-
-The scalar routines are written with branch-free masked arithmetic, so
-they also accept numpy uint64 arrays and encrypt elementwise; nothing in
-this module imports numpy.
 """
 
 from __future__ import annotations
@@ -38,10 +41,7 @@ BATCH_WORDS = 32
 MASK32 = (1 << 32) - 1
 MASK64 = (1 << 64) - 1
 
-_L1_BITS = 13
 _L2_BITS = 19
-_L1_MASK = (1 << _L1_BITS) - 1
-_L2_MASK = (1 << _L2_BITS) - 1
 
 # Two subkey bits are consumed per round.
 _SCHEDULE_BITS = 2 * ROUNDS
@@ -130,57 +130,59 @@ def expand_key(key: Key80) -> tuple:
     return _expanded_bits(key.value)
 
 
-def _load(block):
-    l1 = (block >> _L2_BITS) & _L1_MASK
-    l2 = block & _L2_MASK
-    return l1, l2
+@lru_cache(maxsize=128)
+def _subkey_words(key_value: int, ones: int) -> tuple:
+    """The 508 subkey bits, each widened to ``ones`` or 0."""
+    return tuple(ones if bit else 0 for bit in _expanded_bits(key_value))
 
 
-def _store(l1, l2):
-    return ((l1 & _L1_MASK) << _L2_BITS) | (l2 & _L2_MASK)
+def _encrypt_words(words, sk) -> list:
+    """All 254 rounds on 32 bitsliced words (0..18 are L2, 19..31 are L1)."""
+    b = list(words[:_L2_BITS])
+    a = list(words[_L2_BITS:])
+    for ir, ka, kb in zip(_IR, sk[0::2], sk[1::2]):
+        fa = a[12] ^ a[7] ^ (a[8] & a[5]) ^ (a[3] if ir else 0) ^ ka
+        fb = b[18] ^ b[7] ^ (b[12] & b[10]) ^ (b[8] & b[3]) ^ kb
+        a.pop()
+        a.insert(0, fb)
+        b.pop()
+        b.insert(0, fa)
+    return b + a
 
 
-def _check_block(block) -> None:
+def _decrypt_words(words, sk) -> list:
+    """Inverse of _encrypt_words, running the rounds backwards."""
+    b = list(words[:_L2_BITS])
+    a = list(words[_L2_BITS:])
+    for ir, ka, kb in zip(reversed(_IR), sk[-2::-2], sk[::-2]):
+        fb = a.pop(0)
+        fa = b.pop(0)
+        # The dropped top bits are recoverable because every other tap
+        # survives the shift.
+        a.append(fa ^ a[7] ^ (a[8] & a[5]) ^ (a[3] if ir else 0) ^ ka)
+        b.append(fb ^ b[7] ^ (b[12] & b[10]) ^ (b[8] & b[3]) ^ kb)
+    return b + a
+
+
+def _crypt_block(kernel, block, key: Key80):
     if isinstance(block, int) and not 0 <= block <= MASK32:
         raise ValueError("block must fit in 32 bits")
+    words = kernel([(block >> b) & 1 for b in range(BLOCK_BITS)],
+                   _subkey_words(key.value, 1))
+    out = 0
+    for b, w in enumerate(words):
+        out |= w << b
+    return out
 
 
 def encrypt_block(block, key: Key80):
     """Encrypt one 32-bit block (or a numpy uint64 array, elementwise)."""
-    _check_block(block)
-    sk = expand_key(key)
-    ir = _IR
-    l1, l2 = _load(block)
-    for r in range(ROUNDS):
-        fa = ((l1 >> 12) ^ (l1 >> 7) ^ ((l1 >> 8) & (l1 >> 5))
-              ^ ((l1 >> 3) & ir[r]) ^ sk[2 * r]) & 1
-        fb = ((l2 >> 18) ^ (l2 >> 7) ^ ((l2 >> 12) & (l2 >> 10))
-              ^ ((l2 >> 8) & (l2 >> 3)) ^ sk[2 * r + 1]) & 1
-        l1 = ((l1 << 1) | fb) & _L1_MASK
-        l2 = ((l2 << 1) | fa) & _L2_MASK
-    return _store(l1, l2)
+    return _crypt_block(_encrypt_words, block, key)
 
 
 def decrypt_block(block, key: Key80):
-    """Inverse of encrypt_block, running the rounds backwards."""
-    _check_block(block)
-    sk = expand_key(key)
-    ir = _IR
-    l1, l2 = _load(block)
-    for r in range(ROUNDS - 1, -1, -1):
-        fb = l1 & 1
-        fa = l2 & 1
-        l1 = l1 >> 1
-        l2 = l2 >> 1
-        # The dropped top bits are recoverable because every other tap
-        # survives the shift.
-        t1 = (fa ^ (l1 >> 7) ^ ((l1 >> 8) & (l1 >> 5))
-              ^ ((l1 >> 3) & ir[r]) ^ sk[2 * r]) & 1
-        t2 = (fb ^ (l2 >> 7) ^ ((l2 >> 12) & (l2 >> 10))
-              ^ ((l2 >> 8) & (l2 >> 3)) ^ sk[2 * r + 1]) & 1
-        l1 = l1 | (t1 << 12)
-        l2 = l2 | (t2 << 18)
-    return _store(l1, l2)
+    """Inverse of encrypt_block."""
+    return _crypt_block(_decrypt_words, block, key)
 
 
 def broadcast_key(key: Key80) -> BitslicedKey:
@@ -188,21 +190,15 @@ def broadcast_key(key: Key80) -> BitslicedKey:
     return tuple(MASK64 if key.bit(i) else 0 for i in range(KEY_BITS))
 
 
-def _check_key_words(key: BitslicedKey) -> None:
+def _key_value(key: BitslicedKey) -> int:
     if len(key) != KEY_BITS:
         raise MalformedKey(f"bitsliced key needs {KEY_BITS} words, got {len(key)}")
+    value = 0
     for w in key:
         if w != 0 and w != MASK64:
             raise MalformedKey("bitsliced key words must be all-zeros or all-ones")
-
-
-@lru_cache(maxsize=128)
-def _expanded_words(key: BitslicedKey) -> tuple:
-    _check_key_words(key)
-    sk = list(key)
-    for i in range(KEY_BITS, _SCHEDULE_BITS):
-        sk.append(sk[i - 80] ^ sk[i - 61] ^ sk[i - 50] ^ sk[i - 13])
-    return tuple(sk)
+        value = (value << 1) | (w & 1)
+    return value
 
 
 def _check_batch(batch) -> None:
@@ -221,35 +217,13 @@ def encrypt_batch(batch: BitslicedBatch, key: BitslicedKey) -> BitslicedBatch:
     the scalar load order.
     """
     _check_batch(batch)
-    sk = _expanded_words(key)
-    ir = _IR
-    b = list(batch[:_L2_BITS])
-    a = list(batch[_L2_BITS:])
-    for r in range(ROUNDS):
-        fa = a[12] ^ a[7] ^ (a[8] & a[5]) ^ (a[3] if ir[r] else 0) ^ sk[2 * r]
-        fb = b[18] ^ b[7] ^ (b[12] & b[10]) ^ (b[8] & b[3]) ^ sk[2 * r + 1]
-        a.pop()
-        a.insert(0, fb)
-        b.pop()
-        b.insert(0, fa)
-    return tuple(b) + tuple(a)
+    return tuple(_encrypt_words(batch, _subkey_words(_key_value(key), MASK64)))
 
 
 def decrypt_batch(batch: BitslicedBatch, key: BitslicedKey) -> BitslicedBatch:
     """Inverse of encrypt_batch on the same word layout."""
     _check_batch(batch)
-    sk = _expanded_words(key)
-    ir = _IR
-    b = list(batch[:_L2_BITS])
-    a = list(batch[_L2_BITS:])
-    for r in range(ROUNDS - 1, -1, -1):
-        fb = a.pop(0)
-        fa = b.pop(0)
-        t1 = fa ^ a[7] ^ (a[8] & a[5]) ^ (a[3] if ir[r] else 0) ^ sk[2 * r]
-        t2 = fb ^ b[7] ^ (b[12] & b[10]) ^ (b[8] & b[3]) ^ sk[2 * r + 1]
-        a.append(t1)
-        b.append(t2)
-    return tuple(b) + tuple(a)
+    return tuple(_decrypt_words(batch, _subkey_words(_key_value(key), MASK64)))
 
 
 def _check_lane(lane: int) -> None:

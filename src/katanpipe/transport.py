@@ -77,7 +77,7 @@ def check_device_id(device_id) -> str:
     return device_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetaRecord:
     """One stored message: where it sits in the blob and what it claims."""
 
@@ -251,21 +251,24 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):
         _log.debug("%s " + fmt, self.address_string(), *args)
 
-    def _send(self, status: int, body: bytes, content_type: str) -> None:
+    def _send(self, status: int, body: bytes, content_type: str,
+              close: bool = False) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also sets close_connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_json(self, status: int, obj) -> None:
-        self._send(status, json.dumps(obj).encode("ascii"), "application/json")
+    def _send_json(self, status: int, obj, close: bool = False) -> None:
+        self._send(status, json.dumps(obj).encode("ascii"), "application/json", close)
 
     def _reject(self, status: int, reason: str) -> None:
-        # The request body may not have been drained, so do not let the
-        # connection be reused.
-        self.close_connection = True
-        self._send_json(status, {"status": "rejected", "reason": reason})
+        # The request body may not have been drained, so close the
+        # connection, and tell the client so it does not reuse it.
+        self._send_json(status, {"status": "rejected", "reason": reason}, close=True)
 
     def do_GET(self):
         if self.path == "/health":

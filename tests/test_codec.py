@@ -1,7 +1,9 @@
 import base64
+import hashlib
 import json
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -9,6 +11,7 @@ from katanpipe import errors
 from katanpipe.codec import (
     CHUNK_BYTES,
     ENVELOPE_FIELDS,
+    SLAB_CHUNKS,
     Chunk,
     Envelope,
     chunk_stream,
@@ -19,7 +22,7 @@ from katanpipe.codec import (
     pack_bytes,
     unpack_words,
 )
-from katanpipe.katan import Key80, encrypt_block, extract_lane
+from katanpipe.katan import Key80, encrypt_block, extract_lane, parse_key
 
 
 def make_key(seed):
@@ -158,6 +161,76 @@ class TestPayloadRoundTrip:
         for bad in (-1, 0, 256, 513, 10_000):
             with pytest.raises(errors.BadPlaintextLen):
                 decrypt_payload(ciphertext, bad, key)
+
+
+def lanes(buf: bytes) -> list:
+    """Every 32-bit block of a chunked buffer, chunk by chunk, lane by lane."""
+    words = struct.unpack(f"<{len(buf) // 8}Q", buf)
+    return [extract_lane(words[start:start + 32], lane)
+            for start in range(0, len(words), 32) for lane in range(64)]
+
+
+# SHA-256 of encrypt_payload(random.Random(f"golden-{n}").randbytes(n),
+# GOLDEN_KEY).  Computed at commit 6d6906f, with the codec that still ran
+# one 64-lane batch per chunk, before the payload path went wide.
+GOLDEN_KEY = parse_key("0f1e2d3c4b5a69788796")
+GOLDEN_DIGESTS = {
+    1: "22d85a01556cc4413fb56d603dfbeeaa93c5b403f5d5045a21d928aa697b0bf4",
+    255: "313251208900dfd3167f9404a9f8173a416fd8a2eb1761e2122dcf349951881c",
+    256: "df2a910d35c97a5b106e1ffa7cdc975fd9f10c578b96f30ab226dd41cef87ec8",
+    257: "215c8a4c48b5eb26bd90f0ebf06160c71ce69789251bfb4103f346656a29905b",
+    65539: "3571ef7662dedeb3f1865bbfe29d383dccdfbf23c8d9d71ecb871cdde76bc0f2",
+    1 << 20: "509b3fdc7c2bc4d7b61f8a686413b50f713afde464f3fb5b08fafc274201702f",
+}
+
+
+class TestWidePayloadPath:
+    """The payload path runs up to SLAB_CHUNKS chunks per kernel call."""
+
+    def test_lanes_match_compiled_reference_across_the_width_cap(self, katan_oracle):
+        rng = random.Random(157)
+        key = Key80(rng.getrandbits(80))
+        data = rng.randbytes((SLAB_CHUNKS + 1) * CHUNK_BYTES)
+        ciphertext, _ = encrypt_payload(data, key)
+        expected = [int(x, 16) for x in katan_oracle(
+            [f"enc {key.value:020x} {block:08x}" for block in lanes(data)])]
+        assert lanes(ciphertext) == expected
+
+    def test_decrypt_lanes_match_compiled_reference_across_the_width_cap(
+            self, katan_oracle):
+        rng = random.Random(163)
+        key = Key80(rng.getrandbits(80))
+        ciphertext = rng.randbytes((SLAB_CHUNKS + 1) * CHUNK_BYTES)
+        plain = decrypt_payload(ciphertext, len(ciphertext), key)
+        expected = [int(x, 16) for x in katan_oracle(
+            [f"dec {key.value:020x} {block:08x}" for block in lanes(ciphertext)])]
+        assert lanes(plain) == expected
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN_DIGESTS))
+    def test_ciphertext_digest_is_unchanged(self, n):
+        data = random.Random(f"golden-{n}").randbytes(n)
+        ciphertext, plaintext_len = encrypt_payload(data, GOLDEN_KEY)
+        assert hashlib.sha256(ciphertext).hexdigest() == GOLDEN_DIGESTS[n]
+        assert decrypt_payload(ciphertext, plaintext_len, GOLDEN_KEY) == data
+
+    def test_peak_memory_stays_flat_at_1_mib(self):
+        # The per-chunk codec peaked at 2.6 MiB encrypting 1 MiB (3.0 MiB
+        # decrypting).  The width cap keeps the wide path below that: run
+        # as one 4096-chunk call, 1 MiB peaked at 3.1 MiB.
+        key = make_key(167)
+        data = random.Random(167).randbytes(1 << 20)
+        ciphertext, plaintext_len = encrypt_payload(data, key)
+        tracemalloc.start()
+        try:
+            encrypt_payload(data, key)
+            encrypt_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            decrypt_payload(ciphertext, plaintext_len, key)
+            decrypt_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        limit = 2.6 * (1 << 20)
+        assert encrypt_peak <= limit and decrypt_peak <= limit
 
 
 class TestEnvelope:

@@ -23,6 +23,11 @@ from katanpipe.transport import (
 )
 
 
+# Past Python's int-string digit limit json.loads raises a plain
+# ValueError, not a JSONDecodeError.
+OVERLONG_INT_BODY = b'{"seq": 1' + b"0" * 5000 + b"}"
+
+
 def make_key(seed):
     return Key80(random.Random(seed).getrandbits(80))
 
@@ -203,6 +208,7 @@ class TestIngestFunction:
 
     @pytest.mark.parametrize("body,reason", [
         (b"not json", "MalformedJson"),
+        pytest.param(OVERLONG_INT_BODY, "MalformedJson", id="overlong int-MalformedJson"),
         (b"{}", "MissingField"),
     ])
     def test_rejects_to_400(self, tmp_path, body, reason):
@@ -268,6 +274,32 @@ class TestHttpServer:
         resp = requests.post(f"{base}/api/v1/ingest", data=b"not json", timeout=5)
         assert resp.status_code == 400
         assert resp.json()["reason"] == "MalformedJson"
+
+    def test_overlong_integer_gets_a_reply(self, ingest_server):
+        base, _ = ingest_server
+        resp = requests.post(f"{base}/api/v1/ingest", data=OVERLONG_INT_BODY, timeout=5)
+        assert resp.status_code == 400
+        assert resp.json() == {"status": "rejected", "reason": "MalformedJson"}
+
+    @pytest.mark.parametrize("request_head,body,status", [
+        ("POST /api/v1/ingest", b"not json", 400),
+        ("GET /api/v1/nowhere", b"", 404),
+        ("POST /api/v1/ingest", b"", 413),
+    ])
+    def test_rejection_says_connection_close(self, ingest_server,
+                                             request_head, body, status):
+        base, _ = ingest_server
+        port = int(base.rsplit(":", 1)[1])
+        # 413: the declared length is over the cap, so no body is read.
+        length = 3 << 20 if status == 413 else len(body)
+        with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
+            sock.sendall(f"{request_head} HTTP/1.1\r\nHost: x\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode("ascii") + body)
+            with sock.makefile("rb") as reply:
+                head = reply.read().split(b"\r\n\r\n", 1)[0]
+        lines = head.decode("ascii").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        assert "connection: close" in [line.lower() for line in lines[1:]]
 
     @pytest.mark.parametrize("length", ["-5", "-1"])
     def test_negative_content_length_400(self, ingest_server, length):
