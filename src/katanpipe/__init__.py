@@ -18,15 +18,11 @@ from .bench import (
 )
 from .codec import (
     CHUNK_BYTES,
-    Chunk,
     Envelope,
-    chunk_stream,
     decode_envelope,
     decrypt_payload,
     encode_envelope,
     encrypt_payload,
-    pack_bytes,
-    unpack_words,
 )
 from .errors import KatanPipeError
 from .katan import (

@@ -10,6 +10,8 @@ authoritative, so payloads ending in zero bytes survive the round trip.
 On the wire an encrypted payload travels as a JSON object with exactly
 the fields device_id, seq, ts_ms, cipher, plaintext_len and payload,
 where payload is standard base64 (with padding) of the ciphertext.
+cipher must be "KATAN32" (CIPHER), the only cipher the payload path
+runs; any other name is rejected with UnknownCipher.
 """
 
 from __future__ import annotations
@@ -17,74 +19,27 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-import struct
 from dataclasses import dataclass
 
-from .baselines import cipher_names
 from .errors import (
     BadBase64,
     BadCiphertextLength,
     BadLengthInvariant,
     BadPlaintextLen,
     EmptyInput,
-    LengthOutOfRange,
     MalformedJson,
     MissingField,
-    Oversize,
     UnknownCipher,
 )
 from .katan import BATCH_WORDS, Key80, _decrypt_words, _encrypt_words, _subkey_words
 
+CIPHER = "KATAN32"
 CHUNK_BYTES = 256
 # Chunks per cipher call (64 KiB): caps the working set, and so peak
 # RAM, however large the payload is.
 SLAB_CHUNKS = 256
 
-_WORD_STRUCT = struct.Struct(f"<{BATCH_WORDS}Q")
-
 ENVELOPE_FIELDS = ("device_id", "seq", "ts_ms", "cipher", "plaintext_len", "payload")
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """One padded 256-byte chunk and how many of its bytes are real."""
-
-    data: bytes
-    used_len: int
-
-    def __post_init__(self):
-        if len(self.data) != CHUNK_BYTES:
-            raise ValueError(f"chunk data must be exactly {CHUNK_BYTES} bytes")
-        if not 1 <= self.used_len <= CHUNK_BYTES:
-            raise LengthOutOfRange(
-                f"used_len must be in 1..{CHUNK_BYTES}, got {self.used_len}")
-
-
-def chunk_stream(data: bytes) -> list:
-    """Split ``data`` into padded chunks; only the last may be partial."""
-    if not data:
-        raise EmptyInput("cannot chunk an empty payload")
-    out = []
-    for start in range(0, len(data), CHUNK_BYTES):
-        piece = data[start:start + CHUNK_BYTES]
-        used = len(piece)
-        out.append(Chunk(piece.ljust(CHUNK_BYTES, b"\x00"), used))
-    return out
-
-
-def pack_bytes(data: bytes) -> tuple:
-    """256 (or fewer, zero padded) bytes -> 32 little-endian words."""
-    if len(data) > CHUNK_BYTES:
-        raise Oversize(f"chunk of {len(data)} bytes exceeds {CHUNK_BYTES}")
-    return _WORD_STRUCT.unpack(data.ljust(CHUNK_BYTES, b"\x00"))
-
-
-def unpack_words(words, used_len: int) -> bytes:
-    """Inverse of pack_bytes, keeping only the first ``used_len`` bytes."""
-    if not 0 <= used_len <= CHUNK_BYTES:
-        raise LengthOutOfRange(
-            f"used_len must be in 0..{CHUNK_BYTES}, got {used_len}")
-    return _WORD_STRUCT.pack(*words)[:used_len]
 
 
 def _plaintext_len_bounds(ciphertext_len: int) -> tuple:
@@ -165,8 +120,8 @@ def _check_envelope(env: Envelope) -> None:
             raise MissingField(f"{name} must be a non-negative integer")
     if not isinstance(env.cipher, str):
         raise MissingField("cipher must be a string")
-    if env.cipher not in cipher_names():
-        raise UnknownCipher(f"unknown cipher {env.cipher!r}")
+    if env.cipher != CIPHER:
+        raise UnknownCipher(f"cipher must be {CIPHER!r}, got {env.cipher!r}")
     n = len(env.ciphertext)
     if n == 0 or n % CHUNK_BYTES:
         raise BadLengthInvariant(

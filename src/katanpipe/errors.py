@@ -30,14 +30,6 @@ class EmptyInput(KatanPipeError):
     """Operation requires at least one byte of input."""
 
 
-class Oversize(KatanPipeError):
-    """A single chunk exceeded 256 bytes."""
-
-
-class LengthOutOfRange(KatanPipeError):
-    """used_len / plaintext_len outside its permitted range."""
-
-
 class BadCiphertextLength(KatanPipeError):
     """Ciphertext length is not a positive multiple of 256 bytes."""
 
@@ -63,7 +55,7 @@ class BadLengthInvariant(KatanPipeError):
 
 
 class UnknownCipher(KatanPipeError):
-    """Cipher name is not in the registry."""
+    """Cipher name is not in the registry, or an envelope's is not KATAN32."""
 
 
 # --- transport layer ---

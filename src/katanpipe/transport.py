@@ -38,7 +38,14 @@ from urllib.parse import unquote
 
 import requests
 
-from .codec import Envelope, chunk_stream, decode_envelope, encode_envelope, encrypt_payload
+from .codec import (
+    CHUNK_BYTES,
+    CIPHER,
+    Envelope,
+    decode_envelope,
+    encode_envelope,
+    encrypt_payload,
+)
 from .errors import (
     BadDeviceId,
     ConnectionFailed,
@@ -61,8 +68,7 @@ _log = logging.getLogger(__name__)
 # store log record.
 _DEVICE_ID_RE = re.compile(r"[A-Za-z0-9._-]{1,64}\Z")
 
-_BLOB_RE = re.compile(rf"{API_PREFIX}/devices/([^/]+)/blob\Z")
-_META_RE = re.compile(rf"{API_PREFIX}/devices/([^/]+)/meta\Z")
+_DEVICE_DATA_RE = re.compile(rf"{API_PREFIX}/devices/([^/]+)/(blob|meta)\Z")
 
 
 def now_ms() -> int:
@@ -274,46 +280,39 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/health":
             self._send(200, b"ok", "text/plain")
             return
-        m = _BLOB_RE.fullmatch(self.path)
+        m = _DEVICE_DATA_RE.fullmatch(self.path)
         if m:
-            self._get_blob(unquote(m.group(1)))
-            return
-        m = _META_RE.fullmatch(self.path)
-        if m:
-            self._get_meta(unquote(m.group(1)))
+            self._get_device_data(unquote(m.group(1)), m.group(2))
             return
         self._reject(404, "NotFound")
 
-    def _get_blob(self, device_id: str) -> None:
+    def _get_device_data(self, device_id: str, kind: str) -> None:
+        store = self.server.store
         try:
-            blob = self.server.store.fetch_blob(device_id)
+            if kind == "blob":
+                body = store.fetch_blob(device_id)
+                content_type = "application/octet-stream"
+            else:
+                records = store.fetch_meta(device_id)
+                body = "".join(record.line() + "\n" for record in records).encode("ascii")
+                content_type = "text/plain"
         except UnknownDevice as exc:
             self._reject(404, exc.reason)
             return
         except BadDeviceId as exc:
             self._reject(400, exc.reason)
             return
-        self._send(200, blob, "application/octet-stream")
-
-    def _get_meta(self, device_id: str) -> None:
-        try:
-            records = self.server.store.fetch_meta(device_id)
-        except UnknownDevice as exc:
-            self._reject(404, exc.reason)
-            return
-        except BadDeviceId as exc:
-            self._reject(400, exc.reason)
-            return
-        text = "".join(record.line() + "\n" for record in records)
-        self._send(200, text.encode("ascii"), "text/plain")
+        self._send(200, body, content_type)
 
     def do_POST(self):
         if self.path != f"{API_PREFIX}/ingest":
             self._reject(404, "NotFound")
             return
+        # RFC 9110 allows only 1*DIGIT; int() would also take "+5" and "5_0".
+        value = self.headers.get("Content-Length", "0").strip(" \t")
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
+            length = int(value) if value.isascii() and value.isdigit() else -1
+        except ValueError:  # more digits than Python's int-string limit
             length = -1
         if length < 0:
             self._reject(400, "MalformedJson")
@@ -355,6 +354,14 @@ class IngestAck:
     stored: int
 
 
+def _reason(resp) -> str:
+    """The ``reason`` of a rejection reply, or the start of a non-JSON body."""
+    try:
+        return resp.json().get("reason", "")
+    except ValueError:
+        return resp.text[:200]
+
+
 def _post_with_retry(session, url: str, body: str, *,
                      retries: int, backoff_s: float, timeout: float, sleep):
     delay = backoff_s
@@ -373,11 +380,7 @@ def _post_with_retry(session, url: str, body: str, *,
             continue
         if 200 <= resp.status_code < 300:
             return resp
-        try:
-            detail = resp.json().get("reason", "")
-        except ValueError:
-            detail = resp.text[:200]
-        raise ServerRejected(resp.status_code, detail)
+        raise ServerRejected(resp.status_code, _reason(resp))
 
 
 def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
@@ -400,7 +403,7 @@ def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
         raise EmptyInput("cannot send an empty payload")
     check_device_id(device_id)
     if per_chunk:
-        units = [c.data[:c.used_len] for c in chunk_stream(data)]
+        units = [data[i:i + CHUNK_BYTES] for i in range(0, len(data), CHUNK_BYTES)]
     else:
         units = [data]
     url = f"{server_url.rstrip('/')}{API_PREFIX}/ingest"
@@ -412,7 +415,7 @@ def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
         for seq, unit in enumerate(units):
             ciphertext, plaintext_len = encrypt_payload(unit, key)
             env = Envelope(device_id=device_id, seq=seq, ts_ms=now_ms(),
-                           cipher="KATAN32", plaintext_len=plaintext_len,
+                           cipher=CIPHER, plaintext_len=plaintext_len,
                            ciphertext=ciphertext)
             resp = _post_with_retry(
                 session, url, encode_envelope(env),
@@ -439,11 +442,7 @@ def _get(server_url: str, path: str, timeout: float):
     if resp.status_code == 404:
         raise UnknownDevice(f"server has no data at {path}")
     if not 200 <= resp.status_code < 300:
-        try:
-            detail = resp.json().get("reason", "")
-        except ValueError:
-            detail = resp.text[:200]
-        raise ServerRejected(resp.status_code, detail)
+        raise ServerRejected(resp.status_code, _reason(resp))
     return resp
 
 

@@ -12,86 +12,17 @@ from katanpipe.codec import (
     CHUNK_BYTES,
     ENVELOPE_FIELDS,
     SLAB_CHUNKS,
-    Chunk,
     Envelope,
-    chunk_stream,
     decode_envelope,
     decrypt_payload,
     encode_envelope,
     encrypt_payload,
-    pack_bytes,
-    unpack_words,
 )
 from katanpipe.katan import Key80, encrypt_block, extract_lane, parse_key
 
 
 def make_key(seed):
     return Key80(random.Random(seed).getrandbits(80))
-
-
-class TestPacking:
-    def test_words_are_little_endian(self):
-        words = pack_bytes(bytes([1, 2, 3, 4, 5, 6, 7, 8, 0xFF]))
-        assert words[0] == 0x0807060504030201
-        assert words[1] == 0x00000000000000FF
-        assert words[2:] == (0,) * 30
-
-    def test_round_trip_full_chunk(self):
-        rng = random.Random(89)
-        data = rng.randbytes(CHUNK_BYTES)
-        assert unpack_words(pack_bytes(data), CHUNK_BYTES) == data
-
-    def test_short_input_is_zero_padded(self):
-        words = pack_bytes(b"\x01")
-        assert words[0] == 1 and set(words[1:]) == {0}
-        assert unpack_words(words, 1) == b"\x01"
-
-    def test_empty_input_packs_to_zero(self):
-        assert pack_bytes(b"") == (0,) * 32
-        assert unpack_words((0,) * 32, 0) == b""
-
-    def test_oversize(self):
-        with pytest.raises(errors.Oversize):
-            pack_bytes(b"\x00" * (CHUNK_BYTES + 1))
-
-    @pytest.mark.parametrize("used_len", [-1, 257])
-    def test_unpack_length_bounds(self, used_len):
-        with pytest.raises(errors.LengthOutOfRange):
-            unpack_words((0,) * 32, used_len)
-
-
-class TestChunking:
-    def test_single_partial_chunk(self):
-        chunks = chunk_stream(b"abc")
-        assert len(chunks) == 1
-        assert chunks[0].used_len == 3
-        assert chunks[0].data == b"abc" + b"\x00" * 253
-
-    @pytest.mark.parametrize("n,count,last_used", [
-        (1, 1, 1), (255, 1, 255), (256, 1, 256), (257, 2, 1),
-        (512, 2, 256), (600, 3, 88),
-    ])
-    def test_chunk_accounting(self, n, count, last_used):
-        data = random.Random(n).randbytes(n)
-        chunks = chunk_stream(data)
-        assert len(chunks) == count
-        assert all(len(c.data) == CHUNK_BYTES for c in chunks)
-        assert all(c.used_len == CHUNK_BYTES for c in chunks[:-1])
-        assert chunks[-1].used_len == last_used
-        assert sum(c.used_len for c in chunks) == n
-        assert b"".join(c.data[:c.used_len] for c in chunks) == data
-
-    def test_empty_stream(self):
-        with pytest.raises(errors.EmptyInput):
-            chunk_stream(b"")
-
-    def test_chunk_validation(self):
-        with pytest.raises(ValueError):
-            Chunk(b"short", 5)
-        with pytest.raises(errors.LengthOutOfRange):
-            Chunk(b"\x00" * CHUNK_BYTES, 0)
-        with pytest.raises(errors.LengthOutOfRange):
-            Chunk(b"\x00" * CHUNK_BYTES, CHUNK_BYTES + 1)
 
 
 class TestPayloadRoundTrip:
@@ -124,8 +55,8 @@ class TestPayloadRoundTrip:
         key = Key80(rng.getrandbits(80))
         data = rng.randbytes(700)
         whole, _ = encrypt_payload(data, key)
-        parts = [encrypt_payload(c.data[:c.used_len], key)[0]
-                 for c in chunk_stream(data)]
+        parts = [encrypt_payload(data[i:i + CHUNK_BYTES], key)[0]
+                 for i in range(0, len(data), CHUNK_BYTES)]
         assert whole == b"".join(parts)
 
     def test_ciphertext_is_lanewise_scalar_encryption(self):

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import socket
@@ -37,8 +38,10 @@ def make_body(device_id="dev", seq=0, n=300, key=None, seed=7, cipher="KATAN32")
     key = key or Key80(rng.getrandbits(80))
     data = rng.randbytes(n)
     ciphertext, plaintext_len = encrypt_payload(data, key)
-    env = Envelope(device_id, seq, now_ms(), cipher, plaintext_len, ciphertext)
-    return encode_envelope(env), data, key, ciphertext
+    env = Envelope(device_id, seq, now_ms(), "KATAN32", plaintext_len, ciphertext)
+    # encode_envelope refuses any other cipher, so relabel the encoded body.
+    body = json.dumps(dict(json.loads(encode_envelope(env)), cipher=cipher))
+    return body, data, key, ciphertext
 
 
 class TestDeviceId:
@@ -210,6 +213,12 @@ class TestIngestFunction:
         (b"not json", "MalformedJson"),
         pytest.param(OVERLONG_INT_BODY, "MalformedJson", id="overlong int-MalformedJson"),
         (b"{}", "MissingField"),
+        # The store keeps no cipher name, so every reader would take
+        # another cipher's ciphertext for KATAN32.
+        pytest.param(make_body(cipher="PRESENT")[0], "UnknownCipher",
+                     id="PRESENT-UnknownCipher"),
+        pytest.param(make_body(cipher="AES-128")[0], "UnknownCipher",
+                     id="AES-128-UnknownCipher"),
     ])
     def test_rejects_to_400(self, tmp_path, body, reason):
         result = ingest(BlobStore(tmp_path), body)
@@ -264,6 +273,13 @@ class TestHttpServer:
             assert resp.status_code == 404
             assert resp.json() == {"status": "rejected", "reason": "UnknownDevice"}
 
+    def test_bad_device_id_400(self, ingest_server):
+        base, _ = ingest_server
+        for kind in ("blob", "meta"):
+            resp = requests.get(f"{base}/api/v1/devices/bad%20id/{kind}", timeout=5)
+            assert resp.status_code == 400
+            assert resp.json() == {"status": "rejected", "reason": "BadDeviceId"}
+
     def test_unknown_path_404(self, ingest_server):
         base, _ = ingest_server
         assert requests.get(f"{base}/api/v2/na", timeout=5).status_code == 404
@@ -301,13 +317,17 @@ class TestHttpServer:
         assert lines[0].startswith(f"HTTP/1.1 {status} ")
         assert "connection: close" in [line.lower() for line in lines[1:]]
 
-    @pytest.mark.parametrize("length", ["-5", "-1"])
+    # RFC 9110 allows only digits; int() would read the last two as 512.
+    @pytest.mark.parametrize("length", ["-5", "-1", "+512", "5_1_2"])
     def test_negative_content_length_400(self, ingest_server, length):
         base, _ = ingest_server
         port = int(base.rsplit(":", 1)[1])
+        # A valid envelope of the length int() reads, so only the header
+        # can be at fault.
+        body = b"" if length.startswith("-") else make_body(n=1)[0].encode().ljust(512)
         with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
             sock.sendall(f"POST /api/v1/ingest HTTP/1.1\r\nHost: x\r\n"
-                         f"Content-Length: {length}\r\n\r\n".encode("ascii"))
+                         f"Content-Length: {length}\r\n\r\n".encode("ascii") + body)
             with sock.makefile("rb") as reply:
                 status = reply.readline()
                 body = reply.read()  # the server closes after a rejection
@@ -368,16 +388,21 @@ class TestClient:
         meta = fetch_remote_meta(base, "dev-a")
         assert decrypt_payload(blob, meta[0].plaintext_len, key) == data
 
-    def test_per_chunk_send(self, ingest_server):
+    @pytest.mark.parametrize("n,count,last_used", [
+        (1, 1, 1), (255, 1, 255), (256, 1, 256), (257, 2, 1),
+        (512, 2, 256), (600, 3, 88),
+    ])
+    def test_per_chunk_send(self, ingest_server, n, count, last_used):
         base, _ = ingest_server
         rng = random.Random(157)
         key = Key80(rng.getrandbits(80))
-        data = rng.randbytes(600)
+        data = rng.randbytes(n)
         acks = send_payload(base, "dev-b", key, data, per_chunk=True)
-        assert [a.seq for a in acks] == [0, 1, 2]
+        assert [a.seq for a in acks] == list(range(count))
+        assert [a.stored for a in acks] == [256] * count
         meta = fetch_remote_meta(base, "dev-b")
-        assert [m.plaintext_len for m in meta] == [256, 256, 88]
-        assert [m.offset for m in meta] == [0, 256, 512]
+        assert [m.plaintext_len for m in meta] == [256] * (count - 1) + [last_used]
+        assert [m.offset for m in meta] == [256 * i for i in range(count)]
         blob = fetch_remote_blob(base, "dev-b")
         out = b"".join(
             decrypt_payload(blob[m.offset:m.offset + m.length], m.plaintext_len, key)
