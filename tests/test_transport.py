@@ -392,7 +392,14 @@ class TestClient:
         (1, 1, 1), (255, 1, 255), (256, 1, 256), (257, 2, 1),
         (512, 2, 256), (600, 3, 88),
     ])
-    def test_per_chunk_send(self, ingest_server, n, count, last_used):
+    def test_per_chunk_send_lengths(self, ingest_server, n, count, last_used):
+        self._check_per_chunk_send(ingest_server, n, count, last_used)
+
+    def test_per_chunk_send(self, ingest_server):
+        self._check_per_chunk_send(ingest_server, 600, 3, 88)
+
+    @staticmethod
+    def _check_per_chunk_send(ingest_server, n, count, last_used):
         base, _ = ingest_server
         rng = random.Random(157)
         key = Key80(rng.getrandbits(80))
