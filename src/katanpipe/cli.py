@@ -197,9 +197,8 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    addr = args.addr if isinstance(args.addr, tuple) else _addr_type(args.addr)
     store = BlobStore(args.data)
-    server = create_server(addr, store, max_decoded=args.max_payload)
+    server = create_server(args.addr, store, max_decoded=args.max_payload)
     host, port = server.server_address[:2]
     print(f"serving on http://{host}:{port} data={args.data}", flush=True)
     try:

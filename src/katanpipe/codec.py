@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .errors import (
     BadBase64,
-    BadCiphertextLength,
     BadLengthInvariant,
     BadPlaintextLen,
     EmptyInput,
@@ -42,9 +41,15 @@ SLAB_CHUNKS = 256
 ENVELOPE_FIELDS = ("device_id", "seq", "ts_ms", "cipher", "plaintext_len", "payload")
 
 
-def _plaintext_len_bounds(ciphertext_len: int) -> tuple:
-    chunks = ciphertext_len // CHUNK_BYTES
-    return (chunks - 1) * CHUNK_BYTES + 1, chunks * CHUNK_BYTES
+def _check_lengths(n: int, plaintext_len) -> None:
+    """Raise unless ``n`` ciphertext bytes are one or more whole chunks
+    and ``plaintext_len`` ends inside the last of them."""
+    if n == 0 or n % CHUNK_BYTES:
+        raise BadLengthInvariant(
+            f"ciphertext of {n} bytes is not a whole number of chunks")
+    if not isinstance(plaintext_len, int) or not n - CHUNK_BYTES < plaintext_len <= n:
+        raise BadPlaintextLen(
+            f"plaintext_len {plaintext_len} impossible for {n} ciphertext bytes")
 
 
 def _crypt_slabs(kernel, data, key: Key80, keep: int) -> bytes:
@@ -88,14 +93,7 @@ def encrypt_payload(data: bytes, key: Key80) -> tuple:
 
 def decrypt_payload(ciphertext: bytes, plaintext_len: int, key: Key80) -> bytes:
     """Decrypt and trim back to exactly ``plaintext_len`` bytes."""
-    n = len(ciphertext)
-    if n == 0 or n % CHUNK_BYTES:
-        raise BadCiphertextLength(
-            f"ciphertext length {n} is not a positive multiple of {CHUNK_BYTES}")
-    lo, hi = _plaintext_len_bounds(n)
-    if not isinstance(plaintext_len, int) or not lo <= plaintext_len <= hi:
-        raise BadPlaintextLen(
-            f"plaintext_len {plaintext_len} impossible for {n} ciphertext bytes")
+    _check_lengths(len(ciphertext), plaintext_len)
     return _crypt_slabs(_decrypt_words, ciphertext, key, plaintext_len)
 
 
@@ -122,14 +120,7 @@ def _check_envelope(env: Envelope) -> None:
         raise MissingField("cipher must be a string")
     if env.cipher != CIPHER:
         raise UnknownCipher(f"cipher must be {CIPHER!r}, got {env.cipher!r}")
-    n = len(env.ciphertext)
-    if n == 0 or n % CHUNK_BYTES:
-        raise BadLengthInvariant(
-            f"payload of {n} bytes is not a whole number of chunks")
-    lo, hi = _plaintext_len_bounds(n)
-    if not lo <= env.plaintext_len <= hi:
-        raise BadPlaintextLen(
-            f"plaintext_len {env.plaintext_len} impossible for {n} payload bytes")
+    _check_lengths(len(env.ciphertext), env.plaintext_len)
 
 
 def encode_envelope(env: Envelope) -> str:
@@ -154,9 +145,10 @@ def decode_envelope(text) -> Envelope:
             raise MalformedJson("body is not valid UTF-8") from None
     try:
         obj = json.loads(text)
-    except ValueError:
-        # JSONDecodeError, or a plain ValueError for an integer longer
-        # than Python's int-string digit limit.
+    except (ValueError, RecursionError):
+        # JSONDecodeError, a plain ValueError for an integer longer than
+        # Python's int-string digit limit, or RecursionError for arrays
+        # or objects nested past the recursion limit.
         raise MalformedJson("body is not valid JSON") from None
     if not isinstance(obj, dict):
         raise MalformedJson("envelope must be a JSON object")

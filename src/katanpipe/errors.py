@@ -1,13 +1,16 @@
 """Exception types raised across the package.
 
 Every error deliberately raised by katanpipe derives from KatanPipeError,
-so callers can catch one type at the boundary.  The class name doubles as
-the machine-readable reason string in ingest rejections.
+so callers can catch one type at the boundary.  The ingest server answers
+any KatanPipeError with ``{"status": "rejected", "reason": ...}``: the
+class name is the reason and the class's ``status`` is the reply status.
 """
 
 
 class KatanPipeError(Exception):
     """Base class for all katanpipe errors."""
+
+    status = 400
 
     @property
     def reason(self) -> str:
@@ -30,10 +33,6 @@ class EmptyInput(KatanPipeError):
     """Operation requires at least one byte of input."""
 
 
-class BadCiphertextLength(KatanPipeError):
-    """Ciphertext length is not a positive multiple of 256 bytes."""
-
-
 class BadPlaintextLen(KatanPipeError):
     """plaintext_len is inconsistent with the ciphertext length."""
 
@@ -51,7 +50,7 @@ class BadBase64(KatanPipeError):
 
 
 class BadLengthInvariant(KatanPipeError):
-    """Decoded payload length does not match a whole number of chunks."""
+    """Ciphertext length is not a positive multiple of 256 bytes."""
 
 
 class UnknownCipher(KatanPipeError):
@@ -67,9 +66,25 @@ class BadDeviceId(KatanPipeError):
 class PayloadTooLarge(KatanPipeError):
     """Decoded payload exceeds the server's configured limit."""
 
+    status = 413
+
 
 class UnknownDevice(KatanPipeError):
     """No stored blob for the requested device."""
+
+    status = 404
+
+
+class NotFound(KatanPipeError):
+    """No route matches the request's method and path."""
+
+    status = 404
+
+
+class StorageFailure(KatanPipeError):
+    """The store could not durably append a message."""
+
+    status = 500
 
 
 class ConnectionFailed(KatanPipeError):
@@ -77,7 +92,7 @@ class ConnectionFailed(KatanPipeError):
 
 
 class ServerRejected(KatanPipeError):
-    """Server answered with a non-2xx status."""
+    """Server answered with a non-2xx status, kept in ``status``."""
 
     def __init__(self, status: int, detail: str = ""):
         super().__init__(f"server returned {status}: {detail}" if detail

@@ -11,13 +11,17 @@ crash is cut off when the store is reopened.
 
 Routes:
 
-* ``POST /api/v1/ingest`` -> ``{"status": "ok", "stored": N}`` on 200,
-  ``{"status": "rejected", "reason": ...}`` on 400/413/500
+* ``POST /api/v1/ingest`` -> ``{"status": "ok", "stored": N}`` on 200
 * ``GET /api/v1/devices/{id}/blob`` -> the device's stored ciphertext,
   concatenated in append order
 * ``GET /api/v1/devices/{id}/meta`` -> one ``seq ts_ms plaintext_len
   offset length`` line per message, with offsets into that blob
 * ``GET /health`` -> ``ok``
+
+``_Handler._reply`` answers every failure: a raised KatanPipeError
+``exc`` with ``{"status": "rejected", "reason": exc.reason}`` and status
+``exc.status``, any other exception with 500 ``InternalError``.  Every
+rejection closes the connection.
 """
 
 from __future__ import annotations
@@ -51,8 +55,11 @@ from .errors import (
     ConnectionFailed,
     EmptyInput,
     KatanPipeError,
+    MalformedJson,
+    NotFound,
     PayloadTooLarge,
     ServerRejected,
+    StorageFailure,
     UnknownDevice,
 )
 from .katan import Key80
@@ -217,37 +224,24 @@ class BlobStore:
         return [record for record, _ in self._entries(device_id)]
 
 
-@dataclass(frozen=True)
-class IngestResult:
-    """Outcome of one ingest attempt, independent of HTTP."""
-
-    ok: bool
-    stored: int = 0
-    reason: str = ""
-    status: int = 200
-
-
 def ingest(store: BlobStore, body,
-           max_decoded: int = DEFAULT_MAX_DECODED) -> IngestResult:
-    """Validate one envelope body and append its ciphertext to the store."""
+           max_decoded: int = DEFAULT_MAX_DECODED) -> int:
+    """Validate one envelope body, append its ciphertext to the store and
+    return the number of bytes stored; raise a KatanPipeError if not."""
+    env = decode_envelope(body)
+    check_device_id(env.device_id)
+    if len(env.ciphertext) > max_decoded:
+        raise PayloadTooLarge(
+            f"decoded payload of {len(env.ciphertext)} bytes "
+            f"exceeds the {max_decoded} byte limit")
     try:
-        env = decode_envelope(body)
-        check_device_id(env.device_id)
-        if len(env.ciphertext) > max_decoded:
-            raise PayloadTooLarge(
-                f"decoded payload of {len(env.ciphertext)} bytes "
-                f"exceeds the {max_decoded} byte limit")
         store.append(env.device_id, env.ciphertext,
                      seq=env.seq, ts_ms=env.ts_ms,
                      plaintext_len=env.plaintext_len)
-    except PayloadTooLarge as exc:
-        return IngestResult(False, 0, exc.reason, 413)
-    except KatanPipeError as exc:
-        return IngestResult(False, 0, exc.reason, 400)
-    except OSError:
+    except OSError as exc:
         _log.exception("storage failure during ingest")
-        return IngestResult(False, 0, "StorageFailure", 500)
-    return IngestResult(True, len(env.ciphertext), "", 200)
+        raise StorageFailure("could not append to the store log") from exc
+    return len(env.ciphertext)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -258,7 +252,7 @@ class _Handler(BaseHTTPRequestHandler):
         _log.debug("%s " + fmt, self.address_string(), *args)
 
     def _send(self, status: int, body: bytes, content_type: str,
-              close: bool = False) -> None:
+              close: bool) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -268,67 +262,68 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_json(self, status: int, obj, close: bool = False) -> None:
-        self._send(status, json.dumps(obj).encode("ascii"), "application/json", close)
-
-    def _reject(self, status: int, reason: str) -> None:
-        # The request body may not have been drained, so close the
-        # connection, and tell the client so it does not reuse it.
-        self._send_json(status, {"status": "rejected", "reason": reason}, close=True)
+    def _reply(self, route) -> None:
+        """Send what ``route()`` returns, or the rejection it raises."""
+        try:
+            body, content_type = route()
+            # A GET body is never read, so it must not be parsed as the
+            # next request on this connection.
+            status, close = 200, self.command == "GET" and (
+                "Content-Length" in self.headers or "Transfer-Encoding" in self.headers)
+        except Exception as exc:
+            if isinstance(exc, KatanPipeError):
+                status, reason = exc.status, exc.reason
+            else:
+                _log.exception("unhandled error in %s %s", self.command, self.path)
+                status, reason = 500, "InternalError"
+            body = json.dumps({"status": "rejected", "reason": reason}).encode("ascii")
+            # The request body may not have been drained, so close the
+            # connection, and tell the client so it does not reuse it.
+            content_type, close = "application/json", True
+        self._send(status, body, content_type, close)
 
     def do_GET(self):
-        if self.path == "/health":
-            self._send(200, b"ok", "text/plain")
-            return
-        m = _DEVICE_DATA_RE.fullmatch(self.path)
-        if m:
-            self._get_device_data(unquote(m.group(1)), m.group(2))
-            return
-        self._reject(404, "NotFound")
-
-    def _get_device_data(self, device_id: str, kind: str) -> None:
-        store = self.server.store
-        try:
-            if kind == "blob":
-                body = store.fetch_blob(device_id)
-                content_type = "application/octet-stream"
-            else:
-                records = store.fetch_meta(device_id)
-                body = "".join(record.line() + "\n" for record in records).encode("ascii")
-                content_type = "text/plain"
-        except UnknownDevice as exc:
-            self._reject(404, exc.reason)
-            return
-        except BadDeviceId as exc:
-            self._reject(400, exc.reason)
-            return
-        self._send(200, body, content_type)
+        self._reply(self._get)
 
     def do_POST(self):
+        self._reply(self._post)
+
+    def _get(self) -> tuple:
+        if self.path == "/health":
+            return b"ok", "text/plain"
+        m = _DEVICE_DATA_RE.fullmatch(self.path)
+        if not m:
+            raise NotFound(f"no route for GET {self.path}")
+        device_id, store = unquote(m.group(1)), self.server.store
+        if m.group(2) == "blob":
+            return store.fetch_blob(device_id), "application/octet-stream"
+        lines = "".join(record.line() + "\n" for record in store.fetch_meta(device_id))
+        return lines.encode("ascii"), "text/plain"
+
+    def _post(self) -> tuple:
         if self.path != f"{API_PREFIX}/ingest":
-            self._reject(404, "NotFound")
-            return
-        # RFC 9110 allows only 1*DIGIT; int() would also take "+5" and "5_0".
-        value = self.headers.get("Content-Length", "0").strip(" \t")
+            raise NotFound(f"no route for POST {self.path}")
+        # RFC 9110 allows one Content-Length of only 1*DIGIT; int() would
+        # also take "+5" and "5_0".
+        values = self.headers.get_all("Content-Length", ["0"])
+        value = values[0].strip(" \t")
         try:
-            length = int(value) if value.isascii() and value.isdigit() else -1
+            length = (int(value) if len(values) == 1
+                      and value.isascii() and value.isdigit() else -1)
         except ValueError:  # more digits than Python's int-string limit
             length = -1
         if length < 0:
-            self._reject(400, "MalformedJson")
-            return
+            raise MalformedJson(f"bad Content-Length: {values}")
         # Base64 inflates by 4/3, so this cap cannot reject a body whose
         # decoded payload would have been within max_decoded.
         raw_cap = self.server.max_decoded * 2 + 8192
         if length > raw_cap:
-            self._reject(413, "PayloadTooLarge")
-            return
+            raise PayloadTooLarge(
+                f"Content-Length {length} exceeds the {raw_cap} byte cap")
         body = self.rfile.read(length)
-        result = ingest(self.server.store, body, self.server.max_decoded)
-        if result.ok:
-            self._send_json(200, {"status": "ok", "stored": result.stored})
-        else:
-            self._reject(result.status, result.reason)
+        stored = ingest(self.server.store, body, self.server.max_decoded)
+        return (json.dumps({"status": "ok", "stored": stored}).encode("ascii"),
+                "application/json")
 
 
 class IngestServer(ThreadingHTTPServer):
@@ -355,11 +350,12 @@ class IngestAck:
 
 
 def _reason(resp) -> str:
-    """The ``reason`` of a rejection reply, or the start of a non-JSON body."""
+    """The ``reason`` of a rejection reply, or else the start of its body."""
     try:
-        return resp.json().get("reason", "")
-    except ValueError:
-        return resp.text[:200]
+        reason = resp.json()["reason"]
+    except (ValueError, KeyError, TypeError):
+        reason = None
+    return reason if isinstance(reason, str) else resp.text[:200]
 
 
 def _post_with_retry(session, url: str, body: str, *,
@@ -439,10 +435,11 @@ def _get(server_url: str, path: str, timeout: float):
         resp = requests.get(url, timeout=timeout)
     except requests.RequestException as exc:
         raise ConnectionFailed(f"could not reach {url}: {exc}") from exc
-    if resp.status_code == 404:
-        raise UnknownDevice(f"server has no data at {path}")
     if not 200 <= resp.status_code < 300:
-        raise ServerRejected(resp.status_code, _reason(resp))
+        reason = _reason(resp)
+        if reason == "UnknownDevice":
+            raise UnknownDevice(f"server has no data at {path}")
+        raise ServerRejected(resp.status_code, reason)
     return resp
 
 

@@ -83,7 +83,7 @@ class TestPayloadRoundTrip:
     def test_decrypt_rejects_bad_ciphertext_length(self):
         key = make_key(113)
         for n in (0, 1, 255, 257, 511):
-            with pytest.raises(errors.BadCiphertextLength):
+            with pytest.raises(errors.BadLengthInvariant):
                 decrypt_payload(b"\x00" * n, 1, key)
 
     def test_decrypt_rejects_inconsistent_plaintext_len(self):

@@ -7,7 +7,7 @@ import threading
 import pytest
 import requests
 
-from katanpipe import errors
+from katanpipe import errors, transport
 from katanpipe.codec import Envelope, decrypt_payload, encode_envelope, encrypt_payload
 from katanpipe.katan import Key80
 from katanpipe.transport import (
@@ -27,6 +27,8 @@ from katanpipe.transport import (
 # Past Python's int-string digit limit json.loads raises a plain
 # ValueError, not a JSONDecodeError.
 OVERLONG_INT_BODY = b'{"seq": 1' + b"0" * 5000 + b"}"
+# Nested past the recursion limit json.loads raises RecursionError.
+DEEP_NESTED_BODY = b"[" * 100_000
 
 
 def make_key(seed):
@@ -196,9 +198,7 @@ class TestIngestFunction:
     def test_ok(self, tmp_path):
         store = BlobStore(tmp_path)
         body, _, _, ciphertext = make_body(device_id="d1", n=300)
-        result = ingest(store, body)
-        assert result.ok and result.status == 200
-        assert result.stored == len(ciphertext) == 512
+        assert ingest(store, body) == len(ciphertext) == 512
         assert store.fetch_blob("d1") == ciphertext
 
     def test_stores_exactly_what_arrived(self, tmp_path):
@@ -212,6 +212,7 @@ class TestIngestFunction:
     @pytest.mark.parametrize("body,reason", [
         (b"not json", "MalformedJson"),
         pytest.param(OVERLONG_INT_BODY, "MalformedJson", id="overlong int-MalformedJson"),
+        pytest.param(DEEP_NESTED_BODY, "MalformedJson", id="deep nesting-MalformedJson"),
         (b"{}", "MissingField"),
         # The store keeps no cipher name, so every reader would take
         # another cipher's ciphertext for KATAN32.
@@ -221,19 +222,32 @@ class TestIngestFunction:
                      id="AES-128-UnknownCipher"),
     ])
     def test_rejects_to_400(self, tmp_path, body, reason):
-        result = ingest(BlobStore(tmp_path), body)
-        assert not result.ok
-        assert result.status == 400 and result.reason == reason
+        with pytest.raises(errors.KatanPipeError) as excinfo:
+            ingest(BlobStore(tmp_path), body)
+        assert excinfo.value.status == 400 and excinfo.value.reason == reason
 
     def test_bad_device_id_is_400(self, tmp_path):
         body, _, _, _ = make_body(device_id="x" * 65)
-        result = ingest(BlobStore(tmp_path), body)
-        assert result.status == 400 and result.reason == "BadDeviceId"
+        with pytest.raises(errors.BadDeviceId) as excinfo:
+            ingest(BlobStore(tmp_path), body)
+        assert excinfo.value.status == 400
 
     def test_oversize_is_413(self, tmp_path):
         body, _, _, _ = make_body(n=600)
-        result = ingest(BlobStore(tmp_path), body, max_decoded=256)
-        assert result.status == 413 and result.reason == "PayloadTooLarge"
+        with pytest.raises(errors.PayloadTooLarge) as excinfo:
+            ingest(BlobStore(tmp_path), body, max_decoded=256)
+        assert excinfo.value.status == 413
+
+    def test_failed_append_is_500(self, tmp_path, monkeypatch):
+        store = BlobStore(tmp_path)
+
+        def failing_fsync(fd):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(errors.StorageFailure) as excinfo:
+            ingest(store, make_body()[0])
+        assert excinfo.value.status == 500
 
     def test_meta_records_envelope_fields(self, tmp_path):
         store = BlobStore(tmp_path)
@@ -282,8 +296,10 @@ class TestHttpServer:
 
     def test_unknown_path_404(self, ingest_server):
         base, _ = ingest_server
-        assert requests.get(f"{base}/api/v2/na", timeout=5).status_code == 404
-        assert requests.post(f"{base}/api/v1/other", data=b"{}", timeout=5).status_code == 404
+        for resp in (requests.get(f"{base}/api/v2/na", timeout=5),
+                     requests.post(f"{base}/api/v1/other", data=b"{}", timeout=5)):
+            assert resp.status_code == 404
+            assert resp.json() == {"status": "rejected", "reason": "NotFound"}
 
     def test_malformed_envelope_400(self, ingest_server):
         base, _ = ingest_server
@@ -296,6 +312,29 @@ class TestHttpServer:
         resp = requests.post(f"{base}/api/v1/ingest", data=OVERLONG_INT_BODY, timeout=5)
         assert resp.status_code == 400
         assert resp.json() == {"status": "rejected", "reason": "MalformedJson"}
+
+    def test_deep_nesting_gets_a_reply(self, ingest_server):
+        base, _ = ingest_server
+        resp = requests.post(f"{base}/api/v1/ingest", data=DEEP_NESTED_BODY, timeout=5)
+        assert resp.status_code == 400
+        assert resp.json() == {"status": "rejected", "reason": "MalformedJson"}
+
+    @pytest.mark.parametrize("method,path", [
+        ("POST", "/api/v1/ingest"), ("GET", "/api/v1/devices/dev/blob")])
+    def test_unexpected_exception_is_500(self, ingest_server, monkeypatch, method, path):
+        base, store = ingest_server
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("store bug")
+
+        monkeypatch.setattr(store, "append", broken)
+        monkeypatch.setattr(store, "fetch_blob", broken)
+        body = make_body()[0].encode() if method == "POST" else None
+        resp = requests.request(method, base + path, data=body, timeout=5)
+        assert resp.status_code == 500
+        assert resp.headers["Connection"] == "close"
+        assert resp.json() == {"status": "rejected", "reason": "InternalError"}
+        assert requests.get(f"{base}/health", timeout=5).text == "ok"
 
     @pytest.mark.parametrize("request_head,body,status", [
         ("POST /api/v1/ingest", b"not json", 400),
@@ -317,17 +356,38 @@ class TestHttpServer:
         assert lines[0].startswith(f"HTTP/1.1 {status} ")
         assert "connection: close" in [line.lower() for line in lines[1:]]
 
-    # RFC 9110 allows only digits; int() would read the last two as 512.
-    @pytest.mark.parametrize("length", ["-5", "-1", "+512", "5_1_2"])
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_get_with_a_body_closes_the_connection(self, ingest_server, chunked):
+        base, _ = ingest_server
+        port = int(base.rsplit(":", 1)[1])
+        smuggled = b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+        if chunked:
+            framing = b"Transfer-Encoding: chunked"
+            body = b"%x\r\n%s\r\n0\r\n\r\n" % (len(smuggled), smuggled)
+        else:
+            framing, body = b"Content-Length: %d" % len(smuggled), smuggled
+        with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
+            sock.sendall(b"GET /health HTTP/1.1\r\nHost: x\r\n%s\r\n\r\n%s"
+                         % (framing, body))
+            with sock.makefile("rb") as reply:
+                replies = reply.read()
+        # The unread body is not answered as a second request.
+        assert replies.count(b"HTTP/1.1 ") == 1
+        assert b"\r\nConnection: close\r\n" in replies
+
+    # RFC 9110 allows one value of only digits; int() would read +512
+    # and 5_1_2 as 512.  "512,512" sends the header twice.
+    @pytest.mark.parametrize("length", ["-5", "-1", "+512", "5_1_2", "512,512"])
     def test_negative_content_length_400(self, ingest_server, length):
         base, _ = ingest_server
         port = int(base.rsplit(":", 1)[1])
         # A valid envelope of the length int() reads, so only the header
         # can be at fault.
         body = b"" if length.startswith("-") else make_body(n=1)[0].encode().ljust(512)
+        headers = "".join(f"Content-Length: {v}\r\n" for v in length.split(","))
         with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
             sock.sendall(f"POST /api/v1/ingest HTTP/1.1\r\nHost: x\r\n"
-                         f"Content-Length: {length}\r\n\r\n".encode("ascii") + body)
+                         f"{headers}\r\n".encode("ascii") + body)
             with sock.makefile("rb") as reply:
                 status = reply.readline()
                 body = reply.read()  # the server closes after a rejection
@@ -467,3 +527,21 @@ class TestClient:
             fetch_remote_blob(base, "ghost")
         with pytest.raises(errors.UnknownDevice):
             fetch_remote_meta(base, "ghost")
+
+    def test_other_404_is_server_rejected(self, ingest_server):
+        base, _ = ingest_server
+        with pytest.raises(errors.ServerRejected) as excinfo:
+            transport._get(base, "/api/v1/nowhere", timeout=5)
+        assert (excinfo.value.status, excinfo.value.detail) == (404, "NotFound")
+
+    @pytest.mark.parametrize("content,reason", [
+        (b'{"status": "rejected", "reason": "BadBase64"}', "BadBase64"),
+        (b"[1]", "[1]"),
+        (b'{"reason": 5}', '{"reason": 5}'),
+        (b"{}", "{}"),
+        (b"oops", "oops"),
+    ])
+    def test_reason_falls_back_to_the_body(self, content, reason):
+        resp = requests.Response()
+        resp.status_code, resp._content, resp.encoding = 400, content, "utf-8"
+        assert transport._reason(resp) == reason
