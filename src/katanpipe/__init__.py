@@ -1,21 +1,13 @@
 """katanpipe: a KATAN32 telemetry pipeline.
 
-Encrypt small-device payloads with a bitsliced KATAN32, ship them as
-JSON envelopes to an HTTP ingest service that stores ciphertext only,
-fetch and decrypt them later, and measure throughput along the way.
+The package root is the device library: the KATAN32 cipher (``katan``)
+and the chunking codec and JSON envelope (``codec``).  Importing it
+loads neither the HTTP stack nor the bench.  The other layers are
+imported by module path: ``katanpipe.transport`` (ingest server and
+client), ``katanpipe.bench``, ``katanpipe.baselines`` and
+``katanpipe.cli``.
 """
 
-from .baselines import CipherDescriptor, get_cipher, list_ciphers, register
-from .bench import (
-    BenchReport,
-    ThroughputSample,
-    compute_throughput,
-    emit_report,
-    measure_cipher,
-    measure_pipeline,
-    sends_per_second,
-    summarize,
-)
 from .codec import (
     CHUNK_BYTES,
     Envelope,
@@ -39,16 +31,6 @@ from .katan import (
     ir_sequence,
     parse_key,
     random_key,
-)
-from .transport import (
-    BlobStore,
-    IngestAck,
-    MetaRecord,
-    create_server,
-    fetch_remote_blob,
-    fetch_remote_meta,
-    ingest,
-    send_payload,
 )
 
 __version__ = "0.1.0"

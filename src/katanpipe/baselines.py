@@ -26,7 +26,7 @@ from .katan import Key80
 try:
     from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
     _HAVE_AES = True
-except ImportError:  # pragma: no cover
+except ImportError:
     _HAVE_AES = False
 
 PRESENT_ROUNDS = 31

@@ -10,8 +10,9 @@ authoritative, so payloads ending in zero bytes survive the round trip.
 On the wire an encrypted payload travels as a JSON object with exactly
 the fields device_id, seq, ts_ms, cipher, plaintext_len and payload,
 where payload is standard base64 (with padding) of the ciphertext.
-cipher must be "KATAN32" (CIPHER), the only cipher the payload path
-runs; any other name is rejected with UnknownCipher.
+cipher is always "KATAN32" (CIPHER), the only cipher the payload path
+runs: encode_envelope writes it, decode_envelope rejects any other name
+with UnknownCipher, and Envelope does not carry it.
 """
 
 from __future__ import annotations
@@ -104,33 +105,33 @@ class Envelope:
     device_id: str
     seq: int
     ts_ms: int
-    cipher: str
     plaintext_len: int
     ciphertext: bytes
 
 
-def _check_envelope(env: Envelope) -> None:
+def _check_envelope(env: Envelope, cipher) -> None:
+    """Raise unless ``env`` and the wire ``cipher`` name are valid."""
     if not isinstance(env.device_id, str) or not env.device_id:
         raise MissingField("device_id must be a non-empty string")
     for name in ("seq", "ts_ms", "plaintext_len"):
         value = getattr(env, name)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise MissingField(f"{name} must be a non-negative integer")
-    if not isinstance(env.cipher, str):
+    if not isinstance(cipher, str):
         raise MissingField("cipher must be a string")
-    if env.cipher != CIPHER:
-        raise UnknownCipher(f"cipher must be {CIPHER!r}, got {env.cipher!r}")
+    if cipher != CIPHER:
+        raise UnknownCipher(f"cipher must be {CIPHER!r}, got {cipher!r}")
     _check_lengths(len(env.ciphertext), env.plaintext_len)
 
 
 def encode_envelope(env: Envelope) -> str:
     """Serialize an envelope to its canonical JSON form."""
-    _check_envelope(env)
+    _check_envelope(env, CIPHER)
     return json.dumps({
         "device_id": env.device_id,
         "seq": env.seq,
         "ts_ms": env.ts_ms,
-        "cipher": env.cipher,
+        "cipher": CIPHER,
         "plaintext_len": env.plaintext_len,
         "payload": base64.b64encode(env.ciphertext).decode("ascii"),
     })
@@ -168,9 +169,8 @@ def decode_envelope(text) -> Envelope:
         device_id=obj["device_id"],
         seq=obj["seq"],
         ts_ms=obj["ts_ms"],
-        cipher=obj["cipher"],
         plaintext_len=obj["plaintext_len"],
         ciphertext=ciphertext,
     )
-    _check_envelope(env)
+    _check_envelope(env, obj["cipher"])
     return env

@@ -81,6 +81,12 @@ class NotFound(KatanPipeError):
     status = 404
 
 
+class RequestTimeout(KatanPipeError):
+    """The request body stopped arriving before Content-Length bytes."""
+
+    status = 408
+
+
 class StorageFailure(KatanPipeError):
     """The store could not durably append a message."""
 

@@ -21,7 +21,9 @@ Routes:
 ``_Handler._reply`` answers every failure: a raised KatanPipeError
 ``exc`` with ``{"status": "rejected", "reason": exc.reason}`` and status
 ``exc.status``, any other exception with 500 ``InternalError``.  Every
-rejection closes the connection.
+rejection closes the connection.  A POST with ``Transfer-Encoding`` is
+rejected before its body is read, and a body that stops arriving for
+REQUEST_TIMEOUT_S gets 408 ``RequestTimeout``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import requests
 
 from .codec import (
     CHUNK_BYTES,
-    CIPHER,
     Envelope,
     decode_envelope,
     encode_envelope,
@@ -58,6 +59,7 @@ from .errors import (
     MalformedJson,
     NotFound,
     PayloadTooLarge,
+    RequestTimeout,
     ServerRejected,
     StorageFailure,
     UnknownDevice,
@@ -68,6 +70,9 @@ API_PREFIX = "/api/v1"
 DEFAULT_MAX_DECODED = 1 << 20
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_S = 0.25
+# Seconds a connection may stay silent, mid-body or idle between
+# requests on a keep-alive session, before the server gives it up.
+REQUEST_TIMEOUT_S = 30.0
 
 _log = logging.getLogger(__name__)
 
@@ -247,6 +252,7 @@ def ingest(store: BlobStore, body,
 class _Handler(BaseHTTPRequestHandler):
     server_version = "katanpipe/0.1"
     protocol_version = "HTTP/1.1"
+    timeout = REQUEST_TIMEOUT_S
 
     def log_message(self, fmt, *args):
         _log.debug("%s " + fmt, self.address_string(), *args)
@@ -303,6 +309,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _post(self) -> tuple:
         if self.path != f"{API_PREFIX}/ingest":
             raise NotFound(f"no route for POST {self.path}")
+        # RFC 9112 gives Transfer-Encoding precedence over Content-Length,
+        # and this server never decodes a chunked body.
+        if "Transfer-Encoding" in self.headers:
+            raise MalformedJson("Transfer-Encoding is not supported")
         # RFC 9110 allows one Content-Length of only 1*DIGIT; int() would
         # also take "+5" and "5_0".
         values = self.headers.get_all("Content-Length", ["0"])
@@ -320,7 +330,11 @@ class _Handler(BaseHTTPRequestHandler):
         if length > raw_cap:
             raise PayloadTooLarge(
                 f"Content-Length {length} exceeds the {raw_cap} byte cap")
-        body = self.rfile.read(length)
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            raise RequestTimeout(
+                f"body shorter than Content-Length {length}") from None
         stored = ingest(self.server.store, body, self.server.max_decoded)
         return (json.dumps({"status": "ok", "stored": stored}).encode("ascii"),
                 "application/json")
@@ -359,8 +373,8 @@ def _reason(resp) -> str:
 
 
 def _post_with_retry(session, url: str, body: str, *,
-                     retries: int, backoff_s: float, timeout: float, sleep):
-    delay = backoff_s
+                     retries: int, timeout: float, sleep):
+    delay = DEFAULT_BACKOFF_S
     for attempt in range(retries):
         try:
             resp = session.post(
@@ -382,7 +396,6 @@ def _post_with_retry(session, url: str, body: str, *,
 def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
                  per_chunk: bool = False,
                  retries: int = DEFAULT_RETRIES,
-                 backoff_s: float = DEFAULT_BACKOFF_S,
                  timeout: float = 10.0, sleep=time.sleep,
                  session=None) -> list:
     """Encrypt ``data`` and post it to the ingest endpoint.
@@ -390,8 +403,9 @@ def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
     By default the whole payload goes in one envelope; with
     ``per_chunk=True`` each 256-byte chunk is sent as its own envelope.
     Sequence numbers start at 0 for every call.  Each envelope gets up to
-    ``retries`` attempts, at least one.  Returns one IngestAck per
-    envelope, in send order.
+    ``retries`` attempts, at least one, after connection failures waiting
+    DEFAULT_BACKOFF_S and then twice as long each time.  Returns one
+    IngestAck per envelope, in send order.
     """
     if retries < 1:
         raise ValueError(f"retries must be at least 1, got {retries}")
@@ -411,12 +425,9 @@ def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
         for seq, unit in enumerate(units):
             ciphertext, plaintext_len = encrypt_payload(unit, key)
             env = Envelope(device_id=device_id, seq=seq, ts_ms=now_ms(),
-                           cipher=CIPHER, plaintext_len=plaintext_len,
-                           ciphertext=ciphertext)
-            resp = _post_with_retry(
-                session, url, encode_envelope(env),
-                retries=retries, backoff_s=backoff_s,
-                timeout=timeout, sleep=sleep)
+                           plaintext_len=plaintext_len, ciphertext=ciphertext)
+            resp = _post_with_retry(session, url, encode_envelope(env),
+                                    retries=retries, timeout=timeout, sleep=sleep)
             try:
                 stored = int(resp.json()["stored"])
             except (ValueError, KeyError, TypeError):

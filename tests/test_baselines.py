@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +140,26 @@ class TestRegistry:
             assert get_cipher("XOR32-TEST") is desc
         finally:
             baselines._registry.pop("XOR32-TEST", None)
+
+    def test_without_cryptography_aes_is_not_registered(self):
+        # `cryptography` is only in the test extra, so a plain install may
+        # lack it: AES-128 is then an unknown cipher, not an import error.
+        code = """if True:
+            import sys
+            sys.modules["cryptography"] = None
+            from katanpipe.baselines import cipher_names, get_cipher
+            from katanpipe.cli import main
+            from katanpipe.errors import UnknownCipher
+            print(cipher_names())
+            try:
+                get_cipher("AES-128")
+            except UnknownCipher as exc:
+                print(exc.reason)
+            sys.exit(main(["bench", "cipher", "--cipher", "AES-128"]))
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(baselines.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "['KATAN32', 'PRESENT']\nUnknownCipher\n"
+        assert proc.stderr.startswith("error: unknown cipher 'AES-128'")

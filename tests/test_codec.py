@@ -171,8 +171,7 @@ class TestEnvelope:
         data = rng.randbytes(n)
         ciphertext, plaintext_len = encrypt_payload(data, key)
         env = Envelope(device_id="sensor-7", seq=3, ts_ms=1_723_900_000_000,
-                       cipher="KATAN32", plaintext_len=plaintext_len,
-                       ciphertext=ciphertext)
+                       plaintext_len=plaintext_len, ciphertext=ciphertext)
         return env, key, data
 
     def test_round_trip(self):
@@ -276,7 +275,7 @@ class TestEnvelope:
 
     def test_encode_validates_too(self):
         env, _, _ = self.build()
-        bad = Envelope(env.device_id, env.seq, env.ts_ms, env.cipher,
+        bad = Envelope(env.device_id, env.seq, env.ts_ms,
                        env.plaintext_len, env.ciphertext[:-1])
         with pytest.raises(errors.BadLengthInvariant):
             encode_envelope(bad)

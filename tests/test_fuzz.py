@@ -15,7 +15,7 @@ import socket
 from urllib.parse import quote
 
 from katanpipe import errors
-from katanpipe.codec import CIPHER, Envelope, encode_envelope, encrypt_payload
+from katanpipe.codec import Envelope, encode_envelope, encrypt_payload
 from katanpipe.katan import Key80
 
 SEED = 1990
@@ -94,7 +94,7 @@ def make_cases(rng, n):
     bodies = []
     for i, size in enumerate([1, 100, 256, 700]):
         ciphertext, plaintext_len = encrypt_payload(rng.randbytes(size), key)
-        env = Envelope(f"fuzz-{i}", i, 1_700_000_000_000 + i, CIPHER,
+        env = Envelope(f"fuzz-{i}", i, 1_700_000_000_000 + i,
                        plaintext_len, ciphertext)
         bodies.append(encode_envelope(env).encode("ascii"))
     for _ in range(n):

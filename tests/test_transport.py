@@ -40,8 +40,8 @@ def make_body(device_id="dev", seq=0, n=300, key=None, seed=7, cipher="KATAN32")
     key = key or Key80(rng.getrandbits(80))
     data = rng.randbytes(n)
     ciphertext, plaintext_len = encrypt_payload(data, key)
-    env = Envelope(device_id, seq, now_ms(), "KATAN32", plaintext_len, ciphertext)
-    # encode_envelope refuses any other cipher, so relabel the encoded body.
+    env = Envelope(device_id, seq, now_ms(), plaintext_len, ciphertext)
+    # encode_envelope always writes KATAN32, so relabel the encoded body.
     body = json.dumps(dict(json.loads(encode_envelope(env)), cipher=cipher))
     return body, data, key, ciphertext
 
@@ -374,6 +374,49 @@ class TestHttpServer:
         # The unread body is not answered as a second request.
         assert replies.count(b"HTTP/1.1 ") == 1
         assert b"\r\nConnection: close\r\n" in replies
+
+    # RFC 9112 gives Transfer-Encoding precedence over Content-Length, so
+    # a valid envelope framed by Content-Length must not be stored.
+    @pytest.mark.parametrize("encoding,with_length", [
+        ("chunked", True), ("chunked", False), ("identity", True)])
+    def test_transfer_encoding_is_rejected_unread(self, ingest_server,
+                                                  encoding, with_length):
+        base, store = ingest_server
+        port = int(base.rsplit(":", 1)[1])
+        body = make_body(device_id="te")[0].encode()
+        framing = f"Transfer-Encoding: {encoding}\r\n"
+        if with_length:
+            framing += f"Content-Length: {len(body)}\r\n"
+        else:
+            body = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
+            sock.sendall(f"POST /api/v1/ingest HTTP/1.1\r\nHost: x\r\n"
+                         f"{framing}\r\n".encode("ascii") + body)
+            with sock.makefile("rb") as reply:
+                replies = reply.read()
+        head, _, reply_body = replies.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(reply_body)["reason"] == "MalformedJson"
+        assert replies.count(b"HTTP/1.1 ") == 1
+        with pytest.raises(errors.UnknownDevice):
+            store.fetch_meta("te")
+
+    def test_short_body_times_out_with_408(self, ingest_server, monkeypatch):
+        monkeypatch.setattr(transport._Handler, "timeout", 0.5)
+        base, _ = ingest_server
+        port = int(base.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            # The socket stays open, so only the server's timeout ends the read.
+            sock.sendall(b"POST /api/v1/ingest HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: 100\r\n\r\n" + b"{" * 10)
+            with sock.makefile("rb") as reply:
+                replies = reply.read()
+        head, _, reply_body = replies.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(reply_body) == {"status": "rejected",
+                                          "reason": "RequestTimeout"}
 
     # RFC 9110 allows one value of only digits; int() would read +512
     # and 5_1_2 as 512.  "512,512" sends the header twice.
