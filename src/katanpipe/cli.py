@@ -12,14 +12,6 @@ import sys
 from pathlib import Path
 from random import Random
 
-from .bench import (
-    emit_report,
-    measure_cipher,
-    measure_pipeline,
-    parse_table5_csv,
-    sends_per_second,
-    summarize,
-)
 from .codec import decrypt_payload, encrypt_payload
 from .errors import EmptyInput, KatanPipeError
 from .katan import Key80, format_key, parse_key, random_key
@@ -239,7 +231,11 @@ def cmd_fetch(args) -> int:
     return 0
 
 
+# The bench commands import bench in their handlers: it loads baselines
+# (hence cryptography) and decimal, which serve, send and fetch never use.
+
 def cmd_bench_cipher(args) -> int:
+    from .bench import emit_report, measure_cipher
     rng = Random(args.seed) if args.seed is not None else None
     report = measure_cipher(args.cipher, total_bytes=args.bytes,
                             repetitions=args.reps, rng=rng)
@@ -248,6 +244,7 @@ def cmd_bench_cipher(args) -> int:
 
 
 def cmd_bench_pipeline(args) -> int:
+    from .bench import emit_report, measure_pipeline
     key = _read_key(args.key)
     rng = Random(args.seed) if args.seed is not None else None
     report = measure_pipeline(args.server, args.device, key,
@@ -258,6 +255,7 @@ def cmd_bench_pipeline(args) -> int:
 
 
 def cmd_bench_table5(args) -> int:
+    from .bench import emit_report, parse_table5_csv, summarize
     samples = parse_table5_csv(Path(args.csv).read_text(encoding="ascii"))
     report = summarize(samples, cipher="KATAN32",
                        environment=f"replayed from {args.csv}")
@@ -266,6 +264,7 @@ def cmd_bench_table5(args) -> int:
 
 
 def cmd_bench_rate(args) -> int:
+    from .bench import sends_per_second
     sends, interval = sends_per_second(args.target_bps, args.chunk_bytes)
     print(f"sends_per_s {sends!r}")
     print(f"interval_s {interval!r}")

@@ -24,6 +24,11 @@ Routes:
 rejection closes the connection.  A POST with ``Transfer-Encoding`` is
 rejected before its body is read, and a body that stops arriving for
 REQUEST_TIMEOUT_S gets 408 ``RequestTimeout``.
+
+The client half (``send_payload``, ``fetch_remote_blob``,
+``fetch_remote_meta``) speaks HTTP/1.1 through ``http.client`` on one
+persistent connection per call, so this module, like the rest of the
+package, needs only the standard library.
 """
 
 from __future__ import annotations
@@ -38,11 +43,10 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import unquote
-
-import requests
+from urllib.parse import unquote, urlsplit
 
 from .codec import (
     CHUNK_BYTES,
@@ -363,13 +367,64 @@ class IngestAck:
     stored: int
 
 
+@dataclass(frozen=True, slots=True)
+class _Response:
+    """The two parts of a reply the client reads."""
+
+    status_code: int
+    content: bytes
+
+
+class _Session:
+    """One persistent HTTP/1.1 connection to the host of ``server_url``.
+
+    ``post`` has the shape that send_payload's ``session=`` hook takes,
+    the one ``requests.Session.post`` also has.  Requests go to the path
+    of the URL they are given, so a path in ``server_url`` is kept.
+    http.client drops the connection after a ``Connection: close`` reply
+    and this class after any error; the next request reconnects.
+    """
+
+    def __init__(self, server_url: str):
+        url = urlsplit(server_url)
+        conn_type = {"http": HTTPConnection, "https": HTTPSConnection}.get(url.scheme)
+        if conn_type is None or not url.netloc:
+            raise ConnectionFailed(f"not an http or https URL: {server_url!r}")
+        try:
+            self._conn = conn_type(url.netloc)
+        except HTTPException as exc:  # http.client.InvalidURL, e.g. a bad port
+            raise ConnectionFailed(f"bad server URL {server_url!r}: {exc}") from None
+
+    def request(self, method: str, url: str, *, data=None, headers=None,
+                timeout=None) -> _Response:
+        conn = self._conn
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        try:
+            conn.request(method, urlsplit(url).path, body=data, headers=headers or {})
+            resp = conn.getresponse()
+            return _Response(resp.status, resp.read())
+        except (OSError, HTTPException):
+            conn.close()
+            raise
+
+    def post(self, url: str, data=None, headers=None, timeout=None) -> _Response:
+        return self.request("POST", url, data=data, headers=headers, timeout=timeout)
+
+    def close(self) -> None:
+        self._conn.close()
+
+
 def _reason(resp) -> str:
     """The ``reason`` of a rejection reply, or else the start of its body."""
     try:
-        reason = resp.json()["reason"]
+        reason = json.loads(resp.content)["reason"]
     except (ValueError, KeyError, TypeError):
         reason = None
-    return reason if isinstance(reason, str) else resp.text[:200]
+    if isinstance(reason, str):
+        return reason
+    return resp.content.decode("utf-8", "replace")[:200]
 
 
 def _post_with_retry(session, url: str, body: str, *,
@@ -381,7 +436,9 @@ def _post_with_retry(session, url: str, body: str, *,
                 url, data=body.encode("utf-8"),
                 headers={"Content-Type": "application/json"},
                 timeout=timeout)
-        except requests.RequestException as exc:
+        # requests.RequestException, which a passed-in session may raise,
+        # is an OSError too.
+        except (OSError, HTTPException) as exc:
             if attempt == retries - 1:
                 raise ConnectionFailed(
                     f"could not reach {url} after {retries} attempts: {exc}") from exc
@@ -404,8 +461,12 @@ def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
     ``per_chunk=True`` each 256-byte chunk is sent as its own envelope.
     Sequence numbers start at 0 for every call.  Each envelope gets up to
     ``retries`` attempts, at least one, after connection failures waiting
-    DEFAULT_BACKOFF_S and then twice as long each time.  Returns one
-    IngestAck per envelope, in send order.
+    DEFAULT_BACKOFF_S and then twice as long each time.  Every envelope
+    goes over one keep-alive connection unless ``session`` is given: any
+    object with ``post(url, data=, headers=, timeout=)`` that returns a
+    reply with ``status_code`` and ``content``, such as a
+    ``requests.Session``.  Returns one IngestAck per envelope, in send
+    order.
     """
     if retries < 1:
         raise ValueError(f"retries must be at least 1, got {retries}")
@@ -419,7 +480,7 @@ def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
     url = f"{server_url.rstrip('/')}{API_PREFIX}/ingest"
     own_session = session is None
     if own_session:
-        session = requests.Session()
+        session = _Session(server_url)
     try:
         acks = []
         for seq, unit in enumerate(units):
@@ -429,7 +490,7 @@ def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
             resp = _post_with_retry(session, url, encode_envelope(env),
                                     retries=retries, timeout=timeout, sleep=sleep)
             try:
-                stored = int(resp.json()["stored"])
+                stored = int(json.loads(resp.content)["stored"])
             except (ValueError, KeyError, TypeError):
                 raise ServerRejected(resp.status_code,
                                      "malformed acknowledgement") from None
@@ -440,12 +501,15 @@ def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
             session.close()
 
 
-def _get(server_url: str, path: str, timeout: float):
+def _get(server_url: str, path: str, timeout: float) -> _Response:
     url = f"{server_url.rstrip('/')}{path}"
+    session = _Session(server_url)
     try:
-        resp = requests.get(url, timeout=timeout)
-    except requests.RequestException as exc:
+        resp = session.request("GET", url, timeout=timeout)
+    except (OSError, HTTPException) as exc:
         raise ConnectionFailed(f"could not reach {url}: {exc}") from exc
+    finally:
+        session.close()
     if not 200 <= resp.status_code < 300:
         reason = _reason(resp)
         if reason == "UnknownDevice":
@@ -467,4 +531,8 @@ def fetch_remote_meta(server_url: str, device_id: str, *,
     """Download and parse the meta records for one device."""
     check_device_id(device_id)
     resp = _get(server_url, f"{API_PREFIX}/devices/{device_id}/meta", timeout)
-    return [MetaRecord.parse(line) for line in resp.text.splitlines() if line.strip()]
+    try:
+        return [MetaRecord.parse(line)
+                for line in resp.content.decode("ascii").splitlines() if line.strip()]
+    except ValueError:
+        raise ServerRejected(resp.status_code, "malformed meta") from None

@@ -3,6 +3,8 @@ import os
 import random
 import socket
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
@@ -44,6 +46,12 @@ def make_body(device_id="dev", seq=0, n=300, key=None, seed=7, cipher="KATAN32")
     # encode_envelope always writes KATAN32, so relabel the encoded body.
     body = json.dumps(dict(json.loads(encode_envelope(env)), cipher=cipher))
     return body, data, key, ciphertext
+
+
+def requests_response(content):
+    resp = requests.Response()
+    resp.status_code, resp._content, resp.encoding = 400, content, "utf-8"
+    return resp
 
 
 class TestDeviceId:
@@ -577,14 +585,120 @@ class TestClient:
             transport._get(base, "/api/v1/nowhere", timeout=5)
         assert (excinfo.value.status, excinfo.value.detail) == (404, "NotFound")
 
-    @pytest.mark.parametrize("content,reason", [
-        (b'{"status": "rejected", "reason": "BadBase64"}', "BadBase64"),
-        (b"[1]", "[1]"),
-        (b'{"reason": 5}', '{"reason": 5}'),
-        (b"{}", "{}"),
-        (b"oops", "oops"),
+    def test_own_session_sends_every_chunk_on_one_connection(self, ingest_server,
+                                                             monkeypatch):
+        base, _ = ingest_server
+        clients = []
+        do_post = transport._Handler.do_POST
+
+        def recording_post(handler):
+            clients.append(handler.client_address)
+            do_post(handler)
+
+        monkeypatch.setattr(transport._Handler, "do_POST", recording_post)
+        acks = send_payload(base, "dev-k", make_key(4), b"\x05" * 600, per_chunk=True)
+        assert [a.seq for a in acks] == [0, 1, 2]
+        assert len(clients) == 3
+        assert len(set(clients)) == 1
+
+    # The first POST gets no reply: the server hangs up at once, or only
+    # after the client has timed out and given the connection up.
+    @pytest.mark.parametrize("stall_s", [0.0, 0.6])
+    def test_own_session_reconnects_after_a_failed_post(self, ingest_server,
+                                                        monkeypatch, stall_s):
+        base, _ = ingest_server
+        clients = []
+        do_post = transport._Handler.do_POST
+
+        def drop_first_post(handler):
+            clients.append(handler.client_address)
+            if len(clients) > 1:
+                return do_post(handler)
+            handler.rfile.read(int(handler.headers["Content-Length"]))
+            time.sleep(stall_s)
+            handler.close_connection = True
+
+        monkeypatch.setattr(transport._Handler, "do_POST", drop_first_post)
+        sleeps = []
+        acks = send_payload(base, "dev-d", make_key(6), b"\x07" * 300,
+                            per_chunk=True, timeout=0.3, sleep=sleeps.append)
+        assert [(a.seq, a.stored) for a in acks] == [(0, 256), (1, 256)]
+        assert sleeps == [0.25]
+        assert len(clients) == 3 and clients[1] == clients[2] != clients[0]
+
+    def test_passed_in_requests_session(self, ingest_server):
+        base, _ = ingest_server
+        key = make_key(5)
+        data = b"\x06" * 300
+        with requests.Session() as session:
+            acks = send_payload(base, "dev-r", key, data, per_chunk=True,
+                                session=session)
+        assert [(a.seq, a.stored) for a in acks] == [(0, 256), (1, 256)]
+        meta = fetch_remote_meta(base, "dev-r")
+        blob = fetch_remote_blob(base, "dev-r")
+        assert b"".join(
+            decrypt_payload(blob[m.offset:m.offset + m.length], m.plaintext_len, key)
+            for m in meta) == data
+
+    def test_requests_error_from_a_passed_in_session_is_retried(self):
+        class Unreachable:
+            def post(self, url, data=None, headers=None, timeout=None):
+                raise requests.ConnectionError("refused")
+
+        sleeps = []
+        with pytest.raises(errors.ConnectionFailed):
+            send_payload("http://127.0.0.1:9", "dev", make_key(3), b"x",
+                         sleep=sleeps.append, session=Unreachable())
+        assert sleeps == [0.25, 0.5]
+
+    @pytest.mark.parametrize("url", ["127.0.0.1:9", "ftp://127.0.0.1:9", "http://h:port"])
+    def test_unusable_url_fails_without_retrying(self, url):
+        sleeps = []
+        with pytest.raises(errors.ConnectionFailed):
+            send_payload(url, "dev", make_key(3), b"x", sleep=sleeps.append)
+        assert sleeps == []
+
+    @pytest.mark.parametrize("body", [
+        b"0 1 2 0 256\n\xff\n",
+        b"0 1 2 0\n",
+        b"0 1 2 0 256 7\n",
+        b"0 1 2 0 x\n",
     ])
-    def test_reason_falls_back_to_the_body(self, content, reason):
-        resp = requests.Response()
-        resp.status_code, resp._content, resp.encoding = 400, content, "utf-8"
-        assert transport._reason(resp) == reason
+    def test_malformed_meta_is_server_rejected(self, body):
+        class MetaOnly(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_GET(self):
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), MetaOnly)
+        server.daemon_threads = True
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            with pytest.raises(errors.ServerRejected) as excinfo:
+                fetch_remote_meta(f"http://127.0.0.1:{server.server_address[1]}", "dev")
+            assert (excinfo.value.status, excinfo.value.detail) == (200, "malformed meta")
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    # The requests.Response cases keep plain ``content-reason`` ids.
+    @pytest.mark.parametrize("content,reason,make_response", [
+        pytest.param(content, reason, make, id=f"{content.decode()}-{reason}{suffix}")
+        for make, suffix in [(requests_response, ""),
+                             (lambda content: transport._Response(400, content), "-stdlib")]
+        for content, reason in [
+            (b'{"status": "rejected", "reason": "BadBase64"}', "BadBase64"),
+            (b"[1]", "[1]"),
+            (b'{"reason": 5}', '{"reason": 5}'),
+            (b"{}", "{}"),
+            (b"oops", "oops"),
+        ]])
+    def test_reason_falls_back_to_the_body(self, content, reason, make_response):
+        assert transport._reason(make_response(content)) == reason
