@@ -86,14 +86,8 @@ def summarize(samples, *, cipher: str = "", environment: str = "") -> BenchRepor
     return BenchReport(cipher=cipher, environment=environment, samples=samples)
 
 
-def _default_environment() -> str:
-    return (f"{platform.python_implementation()} {platform.python_version()} "
-            f"on {platform.system().lower()}")
-
-
 def measure_cipher(cipher, *, total_bytes: int = 4096, repetitions: int = 9,
-                   key=None, rng: Random | None = None,
-                   environment: str = "") -> BenchReport:
+                   key=None, rng: Random | None = None) -> BenchReport:
     """Time single-block encryption of ``total_bytes`` random bytes.
 
     ``cipher`` is a CipherDescriptor or a registered name.  Each
@@ -125,8 +119,9 @@ def measure_cipher(cipher, *, total_bytes: int = 4096, repetitions: int = 9,
         for block in blocks:
             encrypt_one(block, key)
         samples.append(compute_throughput(total_bytes, time.perf_counter() - t0))
-    return summarize(samples, cipher=cipher.name,
-                     environment=environment or _default_environment())
+    environment = (f"{platform.python_implementation()} {platform.python_version()} "
+                   f"on {platform.system().lower()}")
+    return summarize(samples, cipher=cipher.name, environment=environment)
 
 
 def measure_pipeline(server_url: str, device_id: str, key: Key80, *,

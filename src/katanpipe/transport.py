@@ -28,7 +28,11 @@ REQUEST_TIMEOUT_S gets 408 ``RequestTimeout``.
 The client half (``send_payload``, ``fetch_remote_blob``,
 ``fetch_remote_meta``) speaks HTTP/1.1 through ``http.client`` on one
 persistent connection per call, so this module, like the rest of the
-package, needs only the standard library.
+package, needs only the standard library.  Each request waits up to
+CLIENT_TIMEOUT_S, and a POST that cannot reach the server is tried
+DEFAULT_RETRIES times in all.  ``_checked`` reads every reply: a 2xx
+passes, reason ``UnknownDevice`` raises UnknownDevice and any other
+status raises ServerRejected.
 """
 
 from __future__ import annotations
@@ -74,6 +78,8 @@ API_PREFIX = "/api/v1"
 DEFAULT_MAX_DECODED = 1 << 20
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_S = 0.25
+# Seconds the client waits to connect, or for a reply, per attempt.
+CLIENT_TIMEOUT_S = 10.0
 # Seconds a connection may stay silent, mid-body or idle between
 # requests on a keep-alive session, before the server gives it up.
 REQUEST_TIMEOUT_S = 30.0
@@ -89,6 +95,15 @@ _DEVICE_DATA_RE = re.compile(rf"{API_PREFIX}/devices/([^/]+)/(blob|meta)\Z")
 
 def now_ms() -> int:
     return int(time.time() * 1000)
+
+
+def _digits(text: str) -> int:
+    """``text`` read as ASCII ``1*DIGIT``; int() would also take "-1",
+    "+1", "1_000" and non-ASCII digits.  Raise ValueError otherwise,
+    including past Python's int-string digit limit."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a plain decimal number: {text!r}")
+    return int(text)
 
 
 def check_device_id(device_id) -> str:
@@ -117,8 +132,7 @@ class MetaRecord:
         parts = line.split()
         if len(parts) != 5:
             raise ValueError(f"meta line needs 5 fields: {line!r}")
-        seq, ts_ms, plaintext_len, offset, length = (int(p) for p in parts)
-        return cls(seq, ts_ms, plaintext_len, offset, length)
+        return cls(*map(_digits, parts))
 
 
 LOG_NAME = "store.log"
@@ -317,17 +331,13 @@ class _Handler(BaseHTTPRequestHandler):
         # and this server never decodes a chunked body.
         if "Transfer-Encoding" in self.headers:
             raise MalformedJson("Transfer-Encoding is not supported")
-        # RFC 9110 allows one Content-Length of only 1*DIGIT; int() would
-        # also take "+5" and "5_0".
+        # RFC 9110 allows one Content-Length of only 1*DIGIT.
         values = self.headers.get_all("Content-Length", ["0"])
-        value = values[0].strip(" \t")
         try:
-            length = (int(value) if len(values) == 1
-                      and value.isascii() and value.isdigit() else -1)
-        except ValueError:  # more digits than Python's int-string limit
-            length = -1
-        if length < 0:
-            raise MalformedJson(f"bad Content-Length: {values}")
+            (value,) = values
+            length = _digits(value.strip(" \t"))
+        except ValueError:
+            raise MalformedJson(f"bad Content-Length: {values}") from None
         # Base64 inflates by 4/3, so this cap cannot reject a body whose
         # decoded payload would have been within max_decoded.
         raw_cap = self.server.max_decoded * 2 + 8192
@@ -379,7 +389,8 @@ class _Session:
     """One persistent HTTP/1.1 connection to the host of ``server_url``.
 
     ``post`` has the shape that send_payload's ``session=`` hook takes,
-    the one ``requests.Session.post`` also has.  Requests go to the path
+    the one ``requests.Session.post`` also has; the connection waits
+    CLIENT_TIMEOUT_S whatever ``timeout`` says.  Requests go to the path
     of the URL they are given, so a path in ``server_url`` is kept.
     http.client drops the connection after a ``Connection: close`` reply
     and this class after any error; the next request reconnects.
@@ -391,16 +402,12 @@ class _Session:
         if conn_type is None or not url.netloc:
             raise ConnectionFailed(f"not an http or https URL: {server_url!r}")
         try:
-            self._conn = conn_type(url.netloc)
+            self._conn = conn_type(url.netloc, timeout=CLIENT_TIMEOUT_S)
         except HTTPException as exc:  # http.client.InvalidURL, e.g. a bad port
             raise ConnectionFailed(f"bad server URL {server_url!r}: {exc}") from None
 
-    def request(self, method: str, url: str, *, data=None, headers=None,
-                timeout=None) -> _Response:
+    def request(self, method: str, url: str, *, data=None, headers=None) -> _Response:
         conn = self._conn
-        conn.timeout = timeout
-        if conn.sock is not None:
-            conn.sock.settimeout(timeout)
         try:
             conn.request(method, urlsplit(url).path, body=data, headers=headers or {})
             resp = conn.getresponse()
@@ -410,73 +417,81 @@ class _Session:
             raise
 
     def post(self, url: str, data=None, headers=None, timeout=None) -> _Response:
-        return self.request("POST", url, data=data, headers=headers, timeout=timeout)
+        return self.request("POST", url, data=data, headers=headers)
 
     def close(self) -> None:
         self._conn.close()
 
 
+def _json_field(resp, name: str, convert=None):
+    """Field ``name`` of a JSON object reply, through ``convert`` if given;
+    None if the body has no such field or it does not convert.  A body
+    nested past the recursion limit raises RecursionError in json.loads."""
+    try:
+        value = json.loads(resp.content)[name]
+        return value if convert is None else convert(value)
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+        return None
+
+
 def _reason(resp) -> str:
     """The ``reason`` of a rejection reply, or else the start of its body."""
-    try:
-        reason = json.loads(resp.content)["reason"]
-    except (ValueError, KeyError, TypeError):
-        reason = None
+    reason = _json_field(resp, "reason")
     if isinstance(reason, str):
         return reason
     return resp.content.decode("utf-8", "replace")[:200]
 
 
-def _post_with_retry(session, url: str, body: str, *,
-                     retries: int, timeout: float, sleep):
+def _checked(resp, url: str):
+    """Return a 2xx reply; raise UnknownDevice or ServerRejected for any other."""
+    if 200 <= resp.status_code < 300:
+        return resp
+    reason = _reason(resp)
+    if reason == "UnknownDevice":
+        raise UnknownDevice(f"server has no data at {url}")
+    raise ServerRejected(resp.status_code, reason)
+
+
+def _post_with_retry(session, url: str, body: str, sleep):
     delay = DEFAULT_BACKOFF_S
-    for attempt in range(retries):
+    for attempt in range(DEFAULT_RETRIES):
         try:
             resp = session.post(
                 url, data=body.encode("utf-8"),
                 headers={"Content-Type": "application/json"},
-                timeout=timeout)
+                timeout=CLIENT_TIMEOUT_S)
         # requests.RequestException, which a passed-in session may raise,
         # is an OSError too.
         except (OSError, HTTPException) as exc:
-            if attempt == retries - 1:
-                raise ConnectionFailed(
-                    f"could not reach {url} after {retries} attempts: {exc}") from exc
+            if attempt == DEFAULT_RETRIES - 1:
+                raise ConnectionFailed(f"could not reach {url} after "
+                                       f"{DEFAULT_RETRIES} attempts: {exc}") from exc
             sleep(delay)
             delay *= 2
-            continue
-        if 200 <= resp.status_code < 300:
-            return resp
-        raise ServerRejected(resp.status_code, _reason(resp))
+        else:
+            return _checked(resp, url)
 
 
 def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
-                 per_chunk: bool = False,
-                 retries: int = DEFAULT_RETRIES,
-                 timeout: float = 10.0, sleep=time.sleep,
-                 session=None) -> list:
+                 per_chunk: bool = False, sleep=time.sleep, session=None) -> list:
     """Encrypt ``data`` and post it to the ingest endpoint.
 
     By default the whole payload goes in one envelope; with
     ``per_chunk=True`` each 256-byte chunk is sent as its own envelope.
-    Sequence numbers start at 0 for every call.  Each envelope gets up to
-    ``retries`` attempts, at least one, after connection failures waiting
-    DEFAULT_BACKOFF_S and then twice as long each time.  Every envelope
-    goes over one keep-alive connection unless ``session`` is given: any
-    object with ``post(url, data=, headers=, timeout=)`` that returns a
-    reply with ``status_code`` and ``content``, such as a
-    ``requests.Session``.  Returns one IngestAck per envelope, in send
-    order.
+    Sequence numbers start at 0 for every call.  Each envelope gets
+    DEFAULT_RETRIES attempts of up to CLIENT_TIMEOUT_S each, after a
+    connection failure waiting DEFAULT_BACKOFF_S and then twice as long
+    each time.  Every envelope goes over one keep-alive connection
+    unless ``session`` is given: any object with ``post(url, data=,
+    headers=, timeout=)`` that returns a reply with ``status_code`` and
+    ``content``, such as a ``requests.Session``.  Returns one IngestAck
+    per envelope, in send order.
     """
-    if retries < 1:
-        raise ValueError(f"retries must be at least 1, got {retries}")
     if not data:
         raise EmptyInput("cannot send an empty payload")
     check_device_id(device_id)
-    if per_chunk:
-        units = [data[i:i + CHUNK_BYTES] for i in range(0, len(data), CHUNK_BYTES)]
-    else:
-        units = [data]
+    step = CHUNK_BYTES if per_chunk else len(data)
+    units = [data[i:i + step] for i in range(0, len(data), step)]
     url = f"{server_url.rstrip('/')}{API_PREFIX}/ingest"
     own_session = session is None
     if own_session:
@@ -487,13 +502,10 @@ def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
             ciphertext, plaintext_len = encrypt_payload(unit, key)
             env = Envelope(device_id=device_id, seq=seq, ts_ms=now_ms(),
                            plaintext_len=plaintext_len, ciphertext=ciphertext)
-            resp = _post_with_retry(session, url, encode_envelope(env),
-                                    retries=retries, timeout=timeout, sleep=sleep)
-            try:
-                stored = int(json.loads(resp.content)["stored"])
-            except (ValueError, KeyError, TypeError):
-                raise ServerRejected(resp.status_code,
-                                     "malformed acknowledgement") from None
+            resp = _post_with_retry(session, url, encode_envelope(env), sleep)
+            stored = _json_field(resp, "stored", int)
+            if stored is None:
+                raise ServerRejected(resp.status_code, "malformed acknowledgement")
             acks.append(IngestAck(seq, stored))
         return acks
     finally:
@@ -501,36 +513,28 @@ def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
             session.close()
 
 
-def _get(server_url: str, path: str, timeout: float) -> _Response:
+def _get(server_url: str, path: str) -> _Response:
     url = f"{server_url.rstrip('/')}{path}"
     session = _Session(server_url)
     try:
-        resp = session.request("GET", url, timeout=timeout)
+        resp = session.request("GET", url)
     except (OSError, HTTPException) as exc:
         raise ConnectionFailed(f"could not reach {url}: {exc}") from exc
     finally:
         session.close()
-    if not 200 <= resp.status_code < 300:
-        reason = _reason(resp)
-        if reason == "UnknownDevice":
-            raise UnknownDevice(f"server has no data at {path}")
-        raise ServerRejected(resp.status_code, reason)
-    return resp
+    return _checked(resp, url)
 
 
-def fetch_remote_blob(server_url: str, device_id: str, *,
-                      timeout: float = 10.0) -> bytes:
+def fetch_remote_blob(server_url: str, device_id: str) -> bytes:
     """Download the stored ciphertext blob for one device."""
     check_device_id(device_id)
-    resp = _get(server_url, f"{API_PREFIX}/devices/{device_id}/blob", timeout)
-    return resp.content
+    return _get(server_url, f"{API_PREFIX}/devices/{device_id}/blob").content
 
 
-def fetch_remote_meta(server_url: str, device_id: str, *,
-                      timeout: float = 10.0) -> list:
+def fetch_remote_meta(server_url: str, device_id: str) -> list:
     """Download and parse the meta records for one device."""
     check_device_id(device_id)
-    resp = _get(server_url, f"{API_PREFIX}/devices/{device_id}/meta", timeout)
+    resp = _get(server_url, f"{API_PREFIX}/devices/{device_id}/meta")
     try:
         return [MetaRecord.parse(line)
                 for line in resp.content.decode("ascii").splitlines() if line.strip()]

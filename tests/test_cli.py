@@ -77,6 +77,22 @@ class TestEncryptDecrypt:
         assert code == 2
         assert err.startswith("error:")
 
+    # int() reads each line as a record that slices real ciphertext.
+    @pytest.mark.parametrize("meta", ["0 1 256 -512 256", "0 1 256 +0 256", "0 1 256 0 2_5_6"])
+    def test_meta_fields_must_be_plain_digits(self, capsys, tmp_path, meta):
+        key_file = tmp_path / "key.txt"
+        run_cli(capsys, "keygen", "--seed", "1", "--out", str(key_file))
+        plain = tmp_path / "p.bin"
+        plain.write_bytes(b"\x01" * 512)
+        run_cli(capsys, "encrypt", "--key", str(key_file), "--in", str(plain),
+                "--out", str(tmp_path / "ct.bin"))
+        (tmp_path / "meta.txt").write_text(meta + "\n")
+        code, _, err = run_cli(capsys, "decrypt", "--key", str(key_file),
+                               "--in", str(tmp_path / "ct.bin"),
+                               "--out", str(tmp_path / "x.bin"),
+                               "--meta", str(tmp_path / "meta.txt"))
+        assert code == 2 and err.startswith("error:")
+
     def test_missing_key_file(self, capsys, tmp_path):
         plain = tmp_path / "p.bin"
         plain.write_bytes(b"\x01")
@@ -156,18 +172,19 @@ class TestServerCommands:
         assert code == 2 and err.startswith("error:")
 
     def test_serve_subprocess_answers_health(self, tmp_path):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "katanpipe", "serve", "--addr", "127.0.0.1:0",
-             "--data", str(tmp_path / "data")],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        try:
-            line = proc.stdout.readline()
-            assert line.startswith("serving on http://")
-            base = line.split()[2]
-            assert requests.get(f"{base}/health", timeout=5).text == "ok"
-        finally:
-            proc.terminate()
-            proc.wait(timeout=10)
+        # Leaving the with block closes the pipes.
+        with subprocess.Popen(
+                [sys.executable, "-m", "katanpipe", "serve", "--addr", "127.0.0.1:0",
+                 "--data", str(tmp_path / "data")],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            try:
+                line = proc.stdout.readline()
+                assert line.startswith("serving on http://")
+                base = line.split()[2]
+                assert requests.get(f"{base}/health", timeout=5).text == "ok"
+            finally:
+                proc.terminate()
+                proc.wait(timeout=10)
 
 
 class TestBenchCommands:

@@ -61,7 +61,8 @@ from katanpipe.transport import (BlobStore, create_server, fetch_remote_blob,
 with tempfile.TemporaryDirectory() as data:
     store = BlobStore(data)
     server = create_server(("127.0.0.1", 0), store)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02},
+                     daemon=True).start()
     base = f"http://127.0.0.1:{server.server_address[1]}"
     key, payload = Key80(0x1234), bytes(range(256)) * 3
     acks = send_payload(base, "dev", key, payload, per_chunk=True)

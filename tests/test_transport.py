@@ -4,7 +4,7 @@ import random
 import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 import requests
@@ -17,7 +17,6 @@ from katanpipe.transport import (
     BlobStore,
     MetaRecord,
     check_device_id,
-    create_server,
     fetch_remote_blob,
     fetch_remote_meta,
     ingest,
@@ -72,7 +71,12 @@ class TestMetaRecord:
         assert rec.line() == "3 1723900000000 300 512 512"
         assert MetaRecord.parse(rec.line()) == rec
 
-    @pytest.mark.parametrize("bad", ["", "1 2 3 4", "1 2 3 4 5 6", "a b c d e"])
+    @pytest.mark.parametrize("bad", [
+        "", "1 2 3 4", "1 2 3 4 5 6", "a b c d e",
+        pytest.param("1" * 5000 + " 2 3 4 5", id="past the int-string digit limit"),
+        # int() reads all of these.
+        "0 1 2 -256 256", "+1 2 3 4 5", "1_000 2 3 4 5", "\u0663 2 3 4 5",
+    ])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             MetaRecord.parse(bad)
@@ -445,18 +449,12 @@ class TestHttpServer:
         assert status.startswith(b"HTTP/1.1 400 ")
         assert body.endswith(b'{"status": "rejected", "reason": "MalformedJson"}')
 
-    def test_oversize_413(self, tmp_path):
-        server = create_server(("127.0.0.1", 0), BlobStore(tmp_path), max_decoded=256)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            base = f"http://127.0.0.1:{server.server_address[1]}"
-            body, _, _, _ = make_body(n=600)
-            resp = requests.post(f"{base}/api/v1/ingest", data=body.encode(), timeout=5)
-            assert resp.status_code == 413
-            assert resp.json()["reason"] == "PayloadTooLarge"
-        finally:
-            server.shutdown()
-            server.server_close()
+    def test_oversize_413(self, live_server):
+        base, _ = live_server(max_decoded=256)
+        body, _, _, _ = make_body(n=600)
+        resp = requests.post(f"{base}/api/v1/ingest", data=body.encode(), timeout=5)
+        assert resp.status_code == 413
+        assert resp.json()["reason"] == "PayloadTooLarge"
 
     def test_concurrent_ingest_keeps_blob_consistent(self, ingest_server):
         base, store = ingest_server
@@ -537,39 +535,40 @@ class TestClient:
         with pytest.raises(errors.BadDeviceId):
             send_payload(base, "a/b", make_key(1), b"x")
 
-    def test_server_rejection_raises(self, tmp_path):
-        server = create_server(("127.0.0.1", 0), BlobStore(tmp_path), max_decoded=256)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            base = f"http://127.0.0.1:{server.server_address[1]}"
-            with pytest.raises(errors.ServerRejected) as excinfo:
-                send_payload(base, "dev", make_key(2), b"\x01" * 600)
-            assert excinfo.value.status == 413
-            assert "PayloadTooLarge" in excinfo.value.detail
-        finally:
-            server.shutdown()
-            server.server_close()
+    def test_server_rejection_raises(self, live_server):
+        base, _ = live_server(max_decoded=256)
+        with pytest.raises(errors.ServerRejected) as excinfo:
+            send_payload(base, "dev", make_key(2), b"\x01" * 600)
+        assert excinfo.value.status == 413
+        assert "PayloadTooLarge" in excinfo.value.detail
+
+    # A reply nested past the recursion limit is read as text, not raised.
+    @pytest.mark.parametrize("status,detail", [
+        pytest.param(400, "[" * 200, id="rejection"),
+        pytest.param(200, "malformed acknowledgement", id="acknowledgement")])
+    def test_deeply_nested_reply_is_server_rejected(self, status, detail):
+        class Replies:
+            def post(self, url, data=None, headers=None, timeout=None):
+                return transport._Response(status, DEEP_NESTED_BODY)
+
+        with pytest.raises(errors.ServerRejected) as excinfo:
+            send_payload("http://127.0.0.1:9", "dev", make_key(3), b"x",
+                         session=Replies())
+        assert (excinfo.value.status, excinfo.value.detail) == (status, detail)
 
     def test_connection_failure_backs_off_and_raises(self):
         sleeps = []
         with pytest.raises(errors.ConnectionFailed):
             send_payload("http://127.0.0.1:9", "dev", make_key(3), b"x",
-                         sleep=sleeps.append, timeout=0.5)
+                         sleep=sleeps.append)
         assert sleeps == [0.25, 0.5]
 
-    def test_retry_count_is_configurable(self):
+    def test_retry_count_is_configurable(self, monkeypatch):
+        monkeypatch.setattr(transport, "DEFAULT_RETRIES", 1)
         sleeps = []
         with pytest.raises(errors.ConnectionFailed):
             send_payload("http://127.0.0.1:9", "dev", make_key(3), b"x",
-                         retries=1, sleep=sleeps.append, timeout=0.5)
-        assert sleeps == []
-
-    @pytest.mark.parametrize("retries", [0, -1])
-    def test_retries_below_one_rejected(self, retries):
-        sleeps = []
-        with pytest.raises(ValueError):
-            send_payload("http://127.0.0.1:9", "dev", make_key(3), b"x",
-                         retries=retries, sleep=sleeps.append, timeout=0.5)
+                         sleep=sleeps.append)
         assert sleeps == []
 
     def test_fetch_unknown_device(self, ingest_server):
@@ -582,7 +581,7 @@ class TestClient:
     def test_other_404_is_server_rejected(self, ingest_server):
         base, _ = ingest_server
         with pytest.raises(errors.ServerRejected) as excinfo:
-            transport._get(base, "/api/v1/nowhere", timeout=5)
+            transport._get(base, "/api/v1/nowhere")
         assert (excinfo.value.status, excinfo.value.detail) == (404, "NotFound")
 
     def test_own_session_sends_every_chunk_on_one_connection(self, ingest_server,
@@ -619,9 +618,10 @@ class TestClient:
             handler.close_connection = True
 
         monkeypatch.setattr(transport._Handler, "do_POST", drop_first_post)
+        monkeypatch.setattr(transport, "CLIENT_TIMEOUT_S", 0.3)
         sleeps = []
         acks = send_payload(base, "dev-d", make_key(6), b"\x07" * 300,
-                            per_chunk=True, timeout=0.3, sleep=sleeps.append)
+                            per_chunk=True, sleep=sleeps.append)
         assert [(a.seq, a.stored) for a in acks] == [(0, 256), (1, 256)]
         assert sleeps == [0.25]
         assert len(clients) == 3 and clients[1] == clients[2] != clients[0]
@@ -663,8 +663,13 @@ class TestClient:
         b"0 1 2 0\n",
         b"0 1 2 0 256 7\n",
         b"0 1 2 0 x\n",
+        # int() reads all of these.
+        b"0 1 2 -256 256\n",
+        b"+1 1 2 0 256\n",
+        b"0 1_000 2 0 256\n",
+        "\u0663 1 2 0 256\n".encode(),
     ])
-    def test_malformed_meta_is_server_rejected(self, body):
+    def test_malformed_meta_is_server_rejected(self, live_server, body):
         class MetaOnly(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
 
@@ -677,28 +682,25 @@ class TestClient:
             def log_message(self, *args):
                 pass
 
-        server = ThreadingHTTPServer(("127.0.0.1", 0), MetaOnly)
-        server.daemon_threads = True
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            with pytest.raises(errors.ServerRejected) as excinfo:
-                fetch_remote_meta(f"http://127.0.0.1:{server.server_address[1]}", "dev")
-            assert (excinfo.value.status, excinfo.value.detail) == (200, "malformed meta")
-        finally:
-            server.shutdown()
-            server.server_close()
+        base, _ = live_server(handler=MetaOnly)
+        with pytest.raises(errors.ServerRejected) as excinfo:
+            fetch_remote_meta(base, "dev")
+        assert (excinfo.value.status, excinfo.value.detail) == (200, "malformed meta")
 
-    # The requests.Response cases keep plain ``content-reason`` ids.
+    # Ids are ``content-reason``, or a name where the body is too long to
+    # show; the _Response cases add ``-stdlib``.
     @pytest.mark.parametrize("content,reason,make_response", [
-        pytest.param(content, reason, make, id=f"{content.decode()}-{reason}{suffix}")
+        pytest.param(content, reason, make,
+                     id=f"{name or content.decode() + '-' + reason}{suffix}")
         for make, suffix in [(requests_response, ""),
                              (lambda content: transport._Response(400, content), "-stdlib")]
-        for content, reason in [
-            (b'{"status": "rejected", "reason": "BadBase64"}', "BadBase64"),
-            (b"[1]", "[1]"),
-            (b'{"reason": 5}', '{"reason": 5}'),
-            (b"{}", "{}"),
-            (b"oops", "oops"),
+        for content, reason, name in [
+            (b'{"status": "rejected", "reason": "BadBase64"}', "BadBase64", None),
+            (b"[1]", "[1]", None),
+            (b'{"reason": 5}', '{"reason": 5}', None),
+            (b"{}", "{}", None),
+            (b"oops", "oops", None),
+            (DEEP_NESTED_BODY, "[" * 200, "deep nesting"),
         ]])
     def test_reason_falls_back_to_the_body(self, content, reason, make_response):
         assert transport._reason(make_response(content)) == reason
