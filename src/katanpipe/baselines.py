@@ -1,16 +1,16 @@
-"""Baseline ciphers and the descriptor registry.
+"""The ciphers the bench times, in one fixed table.
 
 KATAN32 is the cipher this package is about; PRESENT-80 and AES-128 are
-the comparison points.  Every cipher is exposed through a uniform
-CipherDescriptor so the bench harness can drive any of them without
+the comparison points.  ``CIPHERS`` maps each name to a
+CipherDescriptor, so the bench harness can drive any of them without
 knowing which one it has.  Keys are opaque at this level: each
 descriptor's ``sample_key`` produces whatever object its ``encrypt_one``
 expects.
 
 PRESENT is implemented here directly (bit 0 is the least significant
 bit throughout).  AES-128 is delegated to the `cryptography` package
-rather than re-implemented; the descriptor is registered only when that
-package is importable.
+rather than re-implemented; it is in the table only when that package
+is importable.
 """
 
 from __future__ import annotations
@@ -112,7 +112,6 @@ class CipherDescriptor:
 
     name: str
     block_bits: int
-    key_bits: int
     encrypt_one: Callable[[Any, Any], Any]
     decrypt_one: Callable[[Any, Any], Any]
     sample_key: Callable[[Random], Any]
@@ -122,71 +121,28 @@ class CipherDescriptor:
         return self.block_bits // 8
 
 
-_ALLOWED_BLOCK_BITS = frozenset({32, 64, 128})
-_ALLOWED_KEY_BITS = frozenset({80, 128})
-
-_registry: dict = {}
-
-
-def register(descriptor: CipherDescriptor) -> CipherDescriptor:
-    """Add a descriptor after a sanity round trip on a few blocks."""
-    if descriptor.block_bits not in _ALLOWED_BLOCK_BITS:
-        raise ValueError(f"unsupported block_bits {descriptor.block_bits}")
-    if descriptor.key_bits not in _ALLOWED_KEY_BITS:
-        raise ValueError(f"unsupported key_bits {descriptor.key_bits}")
-    rng = Random(0x5EED)
-    key = descriptor.sample_key(rng)
-    for _ in range(4):
-        block = rng.getrandbits(descriptor.block_bits)
-        back = descriptor.decrypt_one(descriptor.encrypt_one(block, key), key)
-        if back != block:
-            raise ValueError(f"{descriptor.name}: decrypt does not invert encrypt")
-    _registry[descriptor.name] = descriptor
-    return descriptor
+# Every cipher the bench can time, by name, in report order.
+CIPHERS = {
+    "KATAN32": CipherDescriptor(
+        name="KATAN32", block_bits=32,
+        encrypt_one=katan.encrypt_block, decrypt_one=katan.decrypt_block,
+        sample_key=lambda rng: Key80(rng.getrandbits(80))),
+    "PRESENT": CipherDescriptor(
+        name="PRESENT", block_bits=64,
+        encrypt_one=present_encrypt, decrypt_one=present_decrypt,
+        sample_key=lambda rng: rng.getrandbits(80)),
+}
+if _HAVE_AES:
+    CIPHERS["AES-128"] = CipherDescriptor(
+        name="AES-128", block_bits=128,
+        encrypt_one=_aes_encrypt, decrypt_one=_aes_decrypt,
+        sample_key=lambda rng: rng.getrandbits(128).to_bytes(16, "big"))
 
 
 def get_cipher(name: str) -> CipherDescriptor:
     """Look a cipher up by name."""
     try:
-        return _registry[name]
+        return CIPHERS[name]
     except KeyError:
-        known = ", ".join(sorted(_registry))
+        known = ", ".join(sorted(CIPHERS))
         raise UnknownCipher(f"unknown cipher {name!r} (known: {known})") from None
-
-
-def list_ciphers() -> list:
-    """All registered descriptors, in registration order."""
-    return list(_registry.values())
-
-
-def cipher_names() -> list:
-    return list(_registry)
-
-
-register(CipherDescriptor(
-    name="KATAN32",
-    block_bits=32,
-    key_bits=80,
-    encrypt_one=katan.encrypt_block,
-    decrypt_one=katan.decrypt_block,
-    sample_key=lambda rng: Key80(rng.getrandbits(80)),
-))
-
-register(CipherDescriptor(
-    name="PRESENT",
-    block_bits=64,
-    key_bits=80,
-    encrypt_one=present_encrypt,
-    decrypt_one=present_decrypt,
-    sample_key=lambda rng: rng.getrandbits(80),
-))
-
-if _HAVE_AES:
-    register(CipherDescriptor(
-        name="AES-128",
-        block_bits=128,
-        key_bits=128,
-        encrypt_one=_aes_encrypt,
-        decrypt_one=_aes_decrypt,
-        sample_key=lambda rng: rng.getrandbits(128).to_bytes(16, "big"),
-    ))

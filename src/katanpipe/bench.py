@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from random import Random
 
-from .baselines import CipherDescriptor, get_cipher
+from .baselines import get_cipher
 from .errors import (
     BadLength,
     EmptySamples,
@@ -86,18 +86,15 @@ def summarize(samples, *, cipher: str = "", environment: str = "") -> BenchRepor
     return BenchReport(cipher=cipher, environment=environment, samples=samples)
 
 
-def measure_cipher(cipher, *, total_bytes: int = 4096, repetitions: int = 9,
-                   key=None, rng: Random | None = None) -> BenchReport:
+def measure_cipher(name: str, *, total_bytes: int = 4096, repetitions: int = 9,
+                   rng: Random | None = None) -> BenchReport:
     """Time single-block encryption of ``total_bytes`` random bytes.
 
-    ``cipher`` is a CipherDescriptor or a registered name.  Each
-    repetition encrypts the same data block by block and contributes one
-    sample.
+    ``name`` is a key of ``baselines.CIPHERS``.  The key and then the
+    data are drawn from ``rng``.  Each repetition encrypts the same data
+    block by block and contributes one sample.
     """
-    if isinstance(cipher, str):
-        cipher = get_cipher(cipher)
-    if not isinstance(cipher, CipherDescriptor):
-        raise TypeError("cipher must be a CipherDescriptor or a registered name")
+    cipher = get_cipher(name)
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     block_bytes = cipher.block_bytes
@@ -106,8 +103,7 @@ def measure_cipher(cipher, *, total_bytes: int = 4096, repetitions: int = 9,
             f"total_bytes must be a positive multiple of {block_bytes}, "
             f"got {total_bytes}")
     rng = rng if rng is not None else Random()
-    if key is None:
-        key = cipher.sample_key(rng)
+    key = cipher.sample_key(rng)
     data = rng.randbytes(total_bytes)
     blocks = [int.from_bytes(data[i:i + block_bytes], "little")
               for i in range(0, total_bytes, block_bytes)]
@@ -157,9 +153,7 @@ def sends_per_second(target_bps: float, chunk_bytes: int) -> tuple:
 
 
 def emit_report(report: BenchReport, fmt: str = "table") -> str:
-    """Render a report as a text table or CSV (empty fmt means table)."""
-    if not fmt:
-        fmt = "table"
+    """Render a report as a text table or CSV."""
     if fmt == "csv":
         lines = [CSV_HEADER]
         for s in report.samples:

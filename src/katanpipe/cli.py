@@ -13,7 +13,7 @@ from pathlib import Path
 from random import Random
 
 from .codec import decrypt_payload, encrypt_payload
-from .errors import EmptyInput, KatanPipeError
+from .errors import BadLengthInvariant, EmptyInput, KatanPipeError
 from .katan import Key80, format_key, parse_key, random_key
 from .transport import (
     BlobStore,
@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      parser_class=_Parser)
 
     p = bench_sub.add_parser("cipher", help="time block encryption")
-    p.add_argument("--cipher", default="KATAN32", help="registered cipher name")
+    p.add_argument("--cipher", default="KATAN32",
+                   help="KATAN32, PRESENT or AES-128 (AES-128 needs cryptography)")
     p.add_argument("--bytes", type=int, default=4096,
                    help="bytes per repetition (multiple of the block size)")
     p.add_argument("--reps", type=int, default=9, help="number of repetitions")
@@ -178,6 +179,11 @@ def cmd_decrypt(args) -> int:
         records = [MetaRecord.parse(line) for line in lines if line.strip()]
         if not records:
             raise EmptyInput(f"no records in meta file {args.meta}")
+        for r in records:
+            if r.offset + r.length > len(blob):
+                raise BadLengthInvariant(
+                    f"meta record {r.line()!r} runs past the end of the "
+                    f"{len(blob)}-byte blob")
         out = b"".join(
             decrypt_payload(blob[r.offset:r.offset + r.length], r.plaintext_len, key)
             for r in records)

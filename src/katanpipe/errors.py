@@ -50,11 +50,12 @@ class BadBase64(KatanPipeError):
 
 
 class BadLengthInvariant(KatanPipeError):
-    """Ciphertext length is not a positive multiple of 256 bytes."""
+    """Ciphertext length is not a positive multiple of 256 bytes, or a
+    meta record's slice runs past the end of its blob."""
 
 
 class UnknownCipher(KatanPipeError):
-    """Cipher name is not in the registry, or an envelope's is not KATAN32."""
+    """Cipher name is not in baselines.CIPHERS, or an envelope's is not KATAN32."""
 
 
 # --- transport layer ---

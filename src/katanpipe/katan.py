@@ -165,7 +165,10 @@ def _decrypt_words(words, sk) -> list:
 
 
 def _crypt_block(kernel, block, key: Key80):
-    if isinstance(block, int) and not 0 <= block <= MASK32:
+    # Nonzero wherever a block is negative or wider than 32 bits; a numpy
+    # array gets one such value per element.
+    high = block >> BLOCK_BITS
+    if (high.any() if hasattr(high, "any") else high):
         raise ValueError("block must fit in 32 bits")
     words = kernel([(block >> b) & 1 for b in range(BLOCK_BITS)],
                    _subkey_words(key.value, 1))

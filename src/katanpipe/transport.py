@@ -423,14 +423,13 @@ class _Session:
         self._conn.close()
 
 
-def _json_field(resp, name: str, convert=None):
-    """Field ``name`` of a JSON object reply, through ``convert`` if given;
-    None if the body has no such field or it does not convert.  A body
-    nested past the recursion limit raises RecursionError in json.loads."""
+def _json_field(resp, name: str):
+    """Field ``name`` of a JSON object reply; None if the body is not a
+    JSON object with that field.  A body nested past the recursion limit
+    raises RecursionError in json.loads."""
     try:
-        value = json.loads(resp.content)[name]
-        return value if convert is None else convert(value)
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+        return json.loads(resp.content)[name]
+    except (ValueError, KeyError, TypeError, RecursionError):
         return None
 
 
@@ -503,8 +502,9 @@ def send_payload(server_url: str, device_id: str, key: Key80, data: bytes, *,
             env = Envelope(device_id=device_id, seq=seq, ts_ms=now_ms(),
                            plaintext_len=plaintext_len, ciphertext=ciphertext)
             resp = _post_with_retry(session, url, encode_envelope(env), sleep)
-            stored = _json_field(resp, "stored", int)
-            if stored is None:
+            stored = _json_field(resp, "stored")
+            # bool is an int subclass, so test the exact type.
+            if type(stored) is not int or stored != len(ciphertext):
                 raise ServerRejected(resp.status_code, "malformed acknowledgement")
             acks.append(IngestAck(seq, stored))
         return acks

@@ -77,8 +77,10 @@ class TestEncryptDecrypt:
         assert code == 2
         assert err.startswith("error:")
 
-    # int() reads each line as a record that slices real ciphertext.
-    @pytest.mark.parametrize("meta", ["0 1 256 -512 256", "0 1 256 +0 256", "0 1 256 0 2_5_6"])
+    # int() reads each of the first three lines as a record that slices
+    # real ciphertext; the last two run past the end of the 512-byte blob.
+    @pytest.mark.parametrize("meta", ["0 1 256 -512 256", "0 1 256 +0 256", "0 1 256 0 2_5_6",
+                                      "0 1 200 256 300", "0 1 1 999 256"])
     def test_meta_fields_must_be_plain_digits(self, capsys, tmp_path, meta):
         key_file = tmp_path / "key.txt"
         run_cli(capsys, "keygen", "--seed", "1", "--out", str(key_file))

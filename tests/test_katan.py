@@ -181,6 +181,12 @@ class TestScalar:
             encrypt_block(1 << 32, KEY_ZERO)
         with pytest.raises(ValueError):
             decrypt_block(-1, KEY_ZERO)
+        # numpy input is checked elementwise, not masked to its low 32 bits.
+        for arr in (np.array([1, 2**32 + 1, 2**63 + 1], dtype=np.uint64),
+                    np.array([-1])):
+            for crypt in (encrypt_block, decrypt_block):
+                with pytest.raises(ValueError, match="fit in 32 bits"):
+                    crypt(arr, KEY_ZERO)
 
     def test_numpy_elementwise_agrees_with_int_path(self):
         rng = random.Random(41)

@@ -92,8 +92,8 @@ def third_party_imports(path):
 
 def test_runtime_needs_only_the_standard_library():
     found = {path.name: third_party_imports(path) for path in SRC.glob("*.py")}
-    # The one exception: baselines registers AES-128 only if its guarded
-    # import of cryptography succeeds.
+    # The one exception: baselines puts AES-128 in its cipher table only
+    # if its guarded import of cryptography succeeds.
     assert {name: mods for name, mods in found.items() if mods} == {
         "baselines.py": {"cryptography"}}
     tomllib = pytest.importorskip("tomllib")

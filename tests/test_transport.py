@@ -542,14 +542,20 @@ class TestClient:
         assert excinfo.value.status == 413
         assert "PayloadTooLarge" in excinfo.value.detail
 
-    # A reply nested past the recursion limit is read as text, not raised.
-    @pytest.mark.parametrize("status,detail", [
-        pytest.param(400, "[" * 200, id="rejection"),
-        pytest.param(200, "malformed acknowledgement", id="acknowledgement")])
-    def test_deeply_nested_reply_is_server_rejected(self, status, detail):
+    # A reply nested past the recursion limit is read as text, not raised;
+    # an ack must give the stored byte count of the one 256-byte chunk as
+    # a plain int.
+    @pytest.mark.parametrize("status,body,detail", [
+        pytest.param(400, DEEP_NESTED_BODY, "[" * 200, id="rejection"),
+        pytest.param(200, DEEP_NESTED_BODY, "malformed acknowledgement",
+                     id="acknowledgement"),
+        *(pytest.param(200, json.dumps({"stored": stored}).encode("ascii"),
+                       "malformed acknowledgement", id=f"stored {stored!r}")
+          for stored in (256.0, "256", True, -5, 255))])
+    def test_deeply_nested_reply_is_server_rejected(self, status, body, detail):
         class Replies:
             def post(self, url, data=None, headers=None, timeout=None):
-                return transport._Response(status, DEEP_NESTED_BODY)
+                return transport._Response(status, body)
 
         with pytest.raises(errors.ServerRejected) as excinfo:
             send_payload("http://127.0.0.1:9", "dev", make_key(3), b"x",
