@@ -16,6 +16,7 @@ is importable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Any, Callable
 
@@ -44,6 +45,7 @@ _MASK76 = (1 << 76) - 1
 _MASK19 = (1 << 19) - 1
 
 
+@lru_cache(maxsize=16)
 def present_round_keys(key: int) -> tuple:
     """The 32 round keys for an 80-bit PRESENT key."""
     if not 0 <= key < (1 << 80):
@@ -94,16 +96,21 @@ def present_decrypt(block: int, key: int) -> int:
     return state
 
 
+@lru_cache(maxsize=16)
+def _aes_ecb(key: bytes) -> tuple:
+    """One ECB encryptor and decryptor per key, shared by every caller in
+    one thread.  ECB keeps no state between whole blocks, so neither ever
+    needs ``finalize``."""
+    cipher = Cipher(algorithms.AES(key), modes.ECB())
+    return cipher.encryptor(), cipher.decryptor()
+
+
 def _aes_encrypt(block: int, key: bytes) -> int:
-    enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
-    out = enc.update(block.to_bytes(16, "big")) + enc.finalize()
-    return int.from_bytes(out, "big")
+    return int.from_bytes(_aes_ecb(key)[0].update(block.to_bytes(16, "big")), "big")
 
 
 def _aes_decrypt(block: int, key: bytes) -> int:
-    dec = Cipher(algorithms.AES(key), modes.ECB()).decryptor()
-    out = dec.update(block.to_bytes(16, "big")) + dec.finalize()
-    return int.from_bytes(out, "big")
+    return int.from_bytes(_aes_ecb(key)[1].update(block.to_bytes(16, "big")), "big")
 
 
 @dataclass(frozen=True)

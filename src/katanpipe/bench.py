@@ -86,8 +86,8 @@ def summarize(samples, *, cipher: str = "", environment: str = "") -> BenchRepor
     return BenchReport(cipher=cipher, environment=environment, samples=samples)
 
 
-def measure_cipher(name: str, *, total_bytes: int = 4096, repetitions: int = 9,
-                   rng: Random | None = None) -> BenchReport:
+def measure_cipher(name: str, *, total_bytes: int, repetitions: int,
+                   rng: Random) -> BenchReport:
     """Time single-block encryption of ``total_bytes`` random bytes.
 
     ``name`` is a key of ``baselines.CIPHERS``.  The key and then the
@@ -102,7 +102,6 @@ def measure_cipher(name: str, *, total_bytes: int = 4096, repetitions: int = 9,
         raise BadLength(
             f"total_bytes must be a positive multiple of {block_bytes}, "
             f"got {total_bytes}")
-    rng = rng if rng is not None else Random()
     key = cipher.sample_key(rng)
     data = rng.randbytes(total_bytes)
     blocks = [int.from_bytes(data[i:i + block_bytes], "little")
@@ -121,14 +120,12 @@ def measure_cipher(name: str, *, total_bytes: int = 4096, repetitions: int = 9,
 
 
 def measure_pipeline(server_url: str, device_id: str, key: Key80, *,
-                     chunk_bytes: int = 250, repetitions: int = 9,
-                     rng: Random | None = None) -> BenchReport:
+                     chunk_bytes: int, repetitions: int, rng: Random) -> BenchReport:
     """Time the full encrypt+post round trip against a live server."""
     if chunk_bytes <= 0:
         raise NonPositiveInput(f"chunk_bytes must be > 0, got {chunk_bytes}")
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    rng = rng if rng is not None else Random()
     samples = []
     for _ in range(repetitions):
         data = rng.randbytes(chunk_bytes)

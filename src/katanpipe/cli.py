@@ -16,6 +16,7 @@ from .codec import decrypt_payload, encrypt_payload
 from .errors import BadLengthInvariant, EmptyInput, KatanPipeError
 from .katan import Key80, format_key, parse_key, random_key
 from .transport import (
+    DEFAULT_MAX_DECODED,
     BlobStore,
     MetaRecord,
     create_server,
@@ -38,13 +39,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _addr_type(text: str):
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
-    try:
+    host, _, port = text.rpartition(":")
+    # int() would also take "+80", "8_0" and non-ASCII digits.
+    if host and port.isascii() and port.isdigit() and int(port) <= 65535:
         return host, int(port)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad port in {text!r}") from None
+    raise argparse.ArgumentTypeError(f"expected HOST:PORT, port 0..65535, got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    if text.isascii() and text.isdigit() and int(text) > 0:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _read_key(path: str) -> Key80:
@@ -52,10 +57,22 @@ def _read_key(path: str) -> Key80:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="katanpipe",
-                     description="KATAN32 telemetry pipeline tools")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+    parser = _Parser(prog="katanpipe", description="KATAN32 telemetry pipeline tools")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    key = _Parser(add_help=False)
+    key.add_argument("--key", required=True, help="path to a 20-hex-digit key file")
+    remote = _Parser(add_help=False)
+    remote.add_argument("--server", required=True, help="server base URL")
+    remote.add_argument("--device", required=True, help="device id")
+    report = _Parser(add_help=False)
+    report.add_argument("--format", default="table", help="table or csv")
+    report.add_argument("--out", help="write the report here instead of stdout")
+    reps = _Parser(add_help=False)
+    reps.add_argument("--reps", type=int, default=9, help="number of repetitions")
+    chunk = _Parser(add_help=False)
+    chunk.add_argument("--chunk-bytes", type=int, default=250,
+                       help="payload bytes per send")
 
     p = sub.add_parser("keygen", help="generate an 80-bit key")
     p.add_argument("--out", help="write the key here instead of stdout")
@@ -63,14 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="derive the key from a seeded RNG (for reproducibility)")
     p.set_defaults(func=cmd_keygen)
 
-    p = sub.add_parser("encrypt", help="encrypt a file into a ciphertext blob")
-    p.add_argument("--key", required=True, help="path to a 20-hex-digit key file")
+    p = sub.add_parser("encrypt", parents=[key],
+                       help="encrypt a file into a ciphertext blob")
     p.add_argument("--in", dest="infile", required=True, help="plaintext input path")
     p.add_argument("--out", required=True, help="ciphertext output path")
     p.set_defaults(func=cmd_encrypt)
 
-    p = sub.add_parser("decrypt", help="decrypt a ciphertext blob")
-    p.add_argument("--key", required=True, help="path to a 20-hex-digit key file")
+    p = sub.add_parser("decrypt", parents=[key], help="decrypt a ciphertext blob")
     p.add_argument("--in", dest="infile", required=True, help="ciphertext input path")
     p.add_argument("--out", required=True, help="plaintext output path")
     g = p.add_mutually_exclusive_group(required=True)
@@ -78,72 +94,57 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--meta", help="meta file describing the blob segments")
     p.set_defaults(func=cmd_decrypt)
 
+    # String defaults pass through ``type`` only when serve is parsed.
+    env = os.environ.get
     p = sub.add_parser("serve", help="run the ingest server")
     p.add_argument("--addr", type=_addr_type,
-                   default=os.environ.get("KATANPIPE_ADDR", DEFAULT_ADDR),
+                   default=env("KATANPIPE_ADDR", DEFAULT_ADDR),
                    help=f"bind address HOST:PORT (default {DEFAULT_ADDR})")
-    p.add_argument("--data",
-                   default=os.environ.get("KATANPIPE_DATA", DEFAULT_DATA_DIR),
+    p.add_argument("--data", default=env("KATANPIPE_DATA", DEFAULT_DATA_DIR),
                    help=f"storage directory (default {DEFAULT_DATA_DIR})")
-    p.add_argument("--max-payload", type=int,
-                   default=int(os.environ.get("KATANPIPE_MAX_PAYLOAD", 1 << 20)),
+    p.add_argument("--max-payload", type=_positive_int,
+                   default=env("KATANPIPE_MAX_PAYLOAD", str(DEFAULT_MAX_DECODED)),
                    help="largest accepted decoded payload in bytes")
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("send", help="encrypt a file and post it to a server")
-    p.add_argument("--server", required=True, help="server base URL")
-    p.add_argument("--device", required=True, help="device id")
-    p.add_argument("--key", required=True, help="path to a 20-hex-digit key file")
+    p = sub.add_parser("send", parents=[remote, key],
+                       help="encrypt a file and post it to a server")
     p.add_argument("--in", dest="infile", required=True, help="plaintext input path")
     p.add_argument("--per-chunk", action="store_true",
                    help="send each 256-byte chunk as its own envelope")
     p.set_defaults(func=cmd_send)
 
-    p = sub.add_parser("fetch", help="download a device's stored blob and meta")
-    p.add_argument("--server", required=True, help="server base URL")
-    p.add_argument("--device", required=True, help="device id")
+    p = sub.add_parser("fetch", parents=[remote],
+                       help="download a device's stored blob and meta")
     p.add_argument("--blob-out", help="write the ciphertext blob here")
     p.add_argument("--meta-out", help="write the meta records here")
     p.set_defaults(func=cmd_fetch)
 
-    bench = sub.add_parser("bench", help="throughput measurements")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True,
-                                     parser_class=_Parser)
+    bench = sub.add_parser("bench", help="throughput measurements").add_subparsers(
+        dest="bench_command", required=True, parser_class=_Parser)
 
-    p = bench_sub.add_parser("cipher", help="time block encryption")
+    p = bench.add_parser("cipher", parents=[reps, report], help="time block encryption")
     p.add_argument("--cipher", default="KATAN32",
                    help="KATAN32, PRESENT or AES-128 (AES-128 needs cryptography)")
     p.add_argument("--bytes", type=int, default=4096,
                    help="bytes per repetition (multiple of the block size)")
-    p.add_argument("--reps", type=int, default=9, help="number of repetitions")
     p.add_argument("--seed", type=int, help="seed the data/key RNG")
-    p.add_argument("--format", default="table", help="table or csv")
-    p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_bench_cipher)
 
-    p = bench_sub.add_parser("pipeline", help="time encrypt+post round trips")
-    p.add_argument("--server", required=True, help="server base URL")
-    p.add_argument("--device", required=True, help="device id")
-    p.add_argument("--key", required=True, help="path to a 20-hex-digit key file")
-    p.add_argument("--chunk-bytes", type=int, default=250,
-                   help="payload bytes per send")
-    p.add_argument("--reps", type=int, default=9, help="number of repetitions")
+    p = bench.add_parser("pipeline", parents=[remote, key, chunk, reps, report],
+                         help="time encrypt+post round trips")
     p.add_argument("--seed", type=int, help="seed the payload RNG")
-    p.add_argument("--format", default="table", help="table or csv")
-    p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_bench_pipeline)
 
-    p = bench_sub.add_parser("table5", help="recompute rates from bytes,ms rows")
+    p = bench.add_parser("table5", parents=[report],
+                         help="recompute rates from bytes,ms rows")
     p.add_argument("--csv", required=True, help="input CSV with a bytes,ms header")
-    p.add_argument("--format", default="table", help="table or csv")
-    p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_bench_table5)
 
-    p = bench_sub.add_parser("rate", help="sends per second for a target bit rate")
+    p = bench.add_parser("rate", parents=[chunk],
+                         help="sends per second for a target bit rate")
     p.add_argument("--target-bps", type=float, required=True,
                    help="target line rate in bits per second")
-    p.add_argument("--chunk-bytes", type=int, default=250,
-                   help="payload bytes per send")
     p.set_defaults(func=cmd_bench_rate)
 
     return parser
@@ -223,8 +224,7 @@ def cmd_send(args) -> int:
 
 def cmd_fetch(args) -> int:
     if not args.blob_out and not args.meta_out:
-        print("error: fetch needs --blob-out and/or --meta-out", file=sys.stderr)
-        return 1
+        raise _UsageError("fetch needs --blob-out and/or --meta-out")
     if args.blob_out:
         blob = fetch_remote_blob(args.server, args.device)
         Path(args.blob_out).write_bytes(blob)
@@ -242,9 +242,8 @@ def cmd_fetch(args) -> int:
 
 def cmd_bench_cipher(args) -> int:
     from .bench import emit_report, measure_cipher
-    rng = Random(args.seed) if args.seed is not None else None
     report = measure_cipher(args.cipher, total_bytes=args.bytes,
-                            repetitions=args.reps, rng=rng)
+                            repetitions=args.reps, rng=Random(args.seed))
     _emit(emit_report(report, args.format), args.out)
     return 0
 
@@ -252,10 +251,9 @@ def cmd_bench_cipher(args) -> int:
 def cmd_bench_pipeline(args) -> int:
     from .bench import emit_report, measure_pipeline
     key = _read_key(args.key)
-    rng = Random(args.seed) if args.seed is not None else None
     report = measure_pipeline(args.server, args.device, key,
                               chunk_bytes=args.chunk_bytes,
-                              repetitions=args.reps, rng=rng)
+                              repetitions=args.reps, rng=Random(args.seed))
     _emit(emit_report(report, args.format), args.out)
     return 0
 
@@ -278,14 +276,12 @@ def cmd_bench_rate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return args.func(args)
     except (KatanPipeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ Bit conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import secrets
+import string
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -66,26 +67,21 @@ class Key80:
         """Key bit k_i, with k_0 the most significant bit."""
         return (self.value >> (KEY_BITS - 1 - i)) & 1
 
-    @property
-    def hex(self) -> str:
-        return format(self.value, "020x")
-
 
 def parse_key(text: str) -> Key80:
     """Parse exactly 20 hex digits (surrounding whitespace allowed)."""
     cleaned = text.strip()
     if len(cleaned) != KEY_BITS // 4:
         raise MalformedKey(f"expected 20 hex digits, got {len(cleaned)} characters")
-    try:
-        value = int(cleaned, 16)
-    except ValueError:
-        raise MalformedKey(f"not valid hex: {cleaned!r}") from None
-    return Key80(value)
+    # int() would also take "0x", a sign, "_" and non-ASCII digits.
+    if not all(c in string.hexdigits for c in cleaned):
+        raise MalformedKey(f"not valid hex: {cleaned!r}")
+    return Key80(int(cleaned, 16))
 
 
 def format_key(key: Key80) -> str:
     """Render a key as 20 lowercase hex digits, zero padded."""
-    return key.hex
+    return format(key.value, "020x")
 
 
 def random_key(rng: Random | None = None) -> Key80:

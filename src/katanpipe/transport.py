@@ -18,10 +18,12 @@ Routes:
   offset length`` line per message, with offsets into that blob
 * ``GET /health`` -> ``ok``
 
-``_Handler._reply`` answers every failure: a raised KatanPipeError
-``exc`` with ``{"status": "rejected", "reason": exc.reason}`` and status
-``exc.status``, any other exception with 500 ``InternalError``.  Every
-rejection closes the connection.  A POST with ``Transfer-Encoding`` is
+``_Handler._reply`` answers every failure of a GET or POST that reaches
+it: a raised KatanPipeError ``exc`` with ``{"status": "rejected",
+"reason": exc.reason}`` and status ``exc.status``, any other exception
+with 500 ``InternalError``.  Every rejection closes the connection.
+``http.server`` itself answers, in HTML, any other method and any request
+line or header it cannot read.  A POST with ``Transfer-Encoding`` is
 rejected before its body is read, and a body that stops arriving for
 REQUEST_TIMEOUT_S gets 408 ``RequestTimeout``.
 
@@ -354,19 +356,13 @@ class _Handler(BaseHTTPRequestHandler):
                 "application/json")
 
 
-class IngestServer(ThreadingHTTPServer):
-    daemon_threads = True
-
-    def __init__(self, addr, store: BlobStore, max_decoded: int):
-        super().__init__(addr, _Handler)
-        self.store = store
-        self.max_decoded = max_decoded
-
-
 def create_server(addr, store: BlobStore,
-                  max_decoded: int = DEFAULT_MAX_DECODED) -> IngestServer:
-    """Build (but do not start) the ingest HTTP server."""
-    return IngestServer(addr, store, max_decoded)
+                  max_decoded: int = DEFAULT_MAX_DECODED) -> ThreadingHTTPServer:
+    """Build (but do not start) the ingest HTTP server; its handlers read
+    ``store`` and ``max_decoded`` off it."""
+    server = ThreadingHTTPServer(addr, _Handler)
+    server.store, server.max_decoded = store, max_decoded
+    return server
 
 
 @dataclass(frozen=True)

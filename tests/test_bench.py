@@ -185,17 +185,21 @@ class TestMeasureCipher:
 
     def test_bad_length(self):
         with pytest.raises(errors.BadLength):
-            measure_cipher("KATAN32", total_bytes=257)
+            measure_cipher("KATAN32", total_bytes=257, repetitions=1,
+                           rng=random.Random(1))
         with pytest.raises(errors.BadLength):
-            measure_cipher("KATAN32", total_bytes=0)
+            measure_cipher("KATAN32", total_bytes=0, repetitions=1,
+                           rng=random.Random(1))
 
     def test_bad_repetitions(self):
         with pytest.raises(ValueError):
-            measure_cipher("KATAN32", total_bytes=256, repetitions=0)
+            measure_cipher("KATAN32", total_bytes=256, repetitions=0,
+                           rng=random.Random(1))
 
     def test_unknown_name(self):
         with pytest.raises(errors.UnknownCipher):
-            measure_cipher("ROT13")
+            measure_cipher("ROT13", total_bytes=256, repetitions=1,
+                           rng=random.Random(1))
 
 
 class TestMeasurePipeline:
@@ -213,4 +217,10 @@ class TestMeasurePipeline:
     def test_rejects_non_positive_chunk(self, ingest_server):
         base, _ = ingest_server
         with pytest.raises(errors.NonPositiveInput):
-            measure_pipeline(base, "d", Key80(1), chunk_bytes=0)
+            measure_pipeline(base, "d", Key80(1), chunk_bytes=0, repetitions=1,
+                             rng=random.Random(1))
+
+    def test_rejects_no_repetitions(self):
+        with pytest.raises(ValueError, match="repetitions"):
+            measure_pipeline("http://127.0.0.1:9", "d", Key80(1), chunk_bytes=250,
+                             repetitions=0, rng=random.Random(1))

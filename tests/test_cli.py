@@ -78,9 +78,10 @@ class TestEncryptDecrypt:
         assert err.startswith("error:")
 
     # int() reads each of the first three lines as a record that slices
-    # real ciphertext; the last two run past the end of the 512-byte blob.
+    # real ciphertext; the next two run past the end of the 512-byte blob,
+    # and the last holds no record at all.
     @pytest.mark.parametrize("meta", ["0 1 256 -512 256", "0 1 256 +0 256", "0 1 256 0 2_5_6",
-                                      "0 1 200 256 300", "0 1 1 999 256"])
+                                      "0 1 200 256 300", "0 1 1 999 256", " \n\t"])
     def test_meta_fields_must_be_plain_digits(self, capsys, tmp_path, meta):
         key_file = tmp_path / "key.txt"
         run_cli(capsys, "keygen", "--seed", "1", "--out", str(key_file))
@@ -265,6 +266,12 @@ class TestUsageErrors:
         ["bench", "nosuchbench"],
         ["serve", "--addr", "noport"],
         ["bench", "cipher", "--bytes", "notanint"],
+        ["serve", "--addr", "h:99999"],
+        ["serve", "--addr", "h:+80"],
+        ["serve", "--addr", "h:8_0"],
+        ["serve", "--addr", "h:\u0668\u0660"],
+        ["serve", "--max-payload", "0"],
+        ["serve", "--max-payload", "-5"],
     ])
     def test_exit_code_1(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -290,3 +297,13 @@ class TestUsageErrors:
         assert args.addr == ("127.0.0.1", 4567)
         assert args.data == "/tmp/kp-data"
         assert args.max_payload == 2048
+
+    def test_bad_env_setting_fails_only_serve(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("KATANPIPE_MAX_PAYLOAD", "abc")
+        monkeypatch.setenv("KATANPIPE_DATA", str(tmp_path / "data"))
+        code, out, err = run_cli(capsys, "keygen", "--seed", "1")
+        assert code == 0 and len(out.strip()) == 20 and err == ""
+        code, _, err = run_cli(capsys, "serve", "--addr", "127.0.0.1:0")
+        assert code == 1
+        assert err.startswith("error: argument --max-payload")
+        assert not (tmp_path / "data").exists()

@@ -251,6 +251,12 @@ class TestEnvelope:
         with pytest.raises(errors.UnknownCipher):
             decode_envelope(json.dumps(obj))
 
+    def test_cipher_must_be_a_string(self):
+        obj = self._valid_obj()
+        obj["cipher"] = 5
+        with pytest.raises(errors.MissingField):
+            decode_envelope(json.dumps(obj))
+
     def test_plaintext_len_consistency(self):
         obj = self._valid_obj()  # two chunks: valid range is 257..512
         for bad in (-5, 0, 256, 513):

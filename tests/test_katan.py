@@ -57,6 +57,9 @@ class TestKeyHandling:
 
     @pytest.mark.parametrize("text", [
         "", "0123", "0" * 19, "0" * 21, "0" * 20 + "0", "xyzzy" * 4, "0g" + "0" * 18,
+        # int(text, 16) reads all of these.
+        "0x" + "0" * 17 + "1", "0X" + "f" * 18, "+" + "0" * 19, "-" + "0" * 19,
+        "0000_0000_0000_00001", "\uff10" * 20,
     ])
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(MalformedKey):
@@ -252,6 +255,11 @@ class TestBitsliced:
         for lane, block in enumerate(blocks):
             batch = insert_lane(batch, lane, block)
         assert [extract_lane(batch, lane) for lane in range(LANES)] == blocks
+
+    @pytest.mark.parametrize("block", [-1, 1 << 32])
+    def test_insert_lane_checks_the_block(self, block):
+        with pytest.raises(ValueError, match="32 bits"):
+            insert_lane((0,) * BATCH_WORDS, 0, block)
 
     @pytest.mark.parametrize("lane", [-1, 64, 1000])
     def test_lane_bounds(self, lane):

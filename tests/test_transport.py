@@ -161,6 +161,23 @@ class TestBlobStore:
         finally:
             store.close()
 
+    # Each record's crc is valid, so only the meta parse can stop the scan.
+    @pytest.mark.parametrize("meta", [b"a 1 2 x", b"a 1 2", b"", b"\xff 1 2 3"])
+    def test_record_with_unreadable_meta_is_cut_on_reopen(self, tmp_path, meta):
+        store = BlobStore(tmp_path)
+        kept = store.append("a", b"\x01" * 256, seq=0, ts_ms=1, plaintext_len=256)
+        store.close()
+        log_path = tmp_path / LOG_NAME
+        good_end = log_path.stat().st_size
+        with open(log_path, "ab") as f:
+            f.write(transport._record_head(meta, b"\x02" * 256) + b"\x02" * 256)
+        store = BlobStore(tmp_path)
+        try:
+            assert log_path.stat().st_size == good_end
+            assert store.fetch_meta("a") == [kept]
+        finally:
+            store.close()
+
     def test_failed_append_leaves_no_partial_record(self, tmp_path, monkeypatch):
         store = BlobStore(tmp_path)
         first = store.append("a", b"\x01" * 256, seq=0, ts_ms=1, plaintext_len=256)
@@ -576,6 +593,11 @@ class TestClient:
             send_payload("http://127.0.0.1:9", "dev", make_key(3), b"x",
                          sleep=sleeps.append)
         assert sleeps == []
+
+    @pytest.mark.parametrize("fetch", [fetch_remote_blob, fetch_remote_meta])
+    def test_fetch_from_a_closed_port_is_connection_failed(self, fetch):
+        with pytest.raises(errors.ConnectionFailed):
+            fetch("http://127.0.0.1:9", "dev")
 
     def test_fetch_unknown_device(self, ingest_server):
         base, _ = ingest_server
