@@ -22,7 +22,6 @@ from typing import Any, Callable
 
 from . import katan
 from .errors import UnknownCipher
-from .katan import Key80
 
 try:
     from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -117,7 +116,6 @@ def _aes_decrypt(block: int, key: bytes) -> int:
 class CipherDescriptor:
     """One cipher as the bench harness sees it."""
 
-    name: str
     block_bits: int
     encrypt_one: Callable[[Any, Any], Any]
     decrypt_one: Callable[[Any, Any], Any]
@@ -131,17 +129,17 @@ class CipherDescriptor:
 # Every cipher the bench can time, by name, in report order.
 CIPHERS = {
     "KATAN32": CipherDescriptor(
-        name="KATAN32", block_bits=32,
+        block_bits=32,
         encrypt_one=katan.encrypt_block, decrypt_one=katan.decrypt_block,
-        sample_key=lambda rng: Key80(rng.getrandbits(80))),
+        sample_key=katan.random_key),
     "PRESENT": CipherDescriptor(
-        name="PRESENT", block_bits=64,
+        block_bits=64,
         encrypt_one=present_encrypt, decrypt_one=present_decrypt,
         sample_key=lambda rng: rng.getrandbits(80)),
 }
 if _HAVE_AES:
     CIPHERS["AES-128"] = CipherDescriptor(
-        name="AES-128", block_bits=128,
+        block_bits=128,
         encrypt_one=_aes_encrypt, decrypt_one=_aes_decrypt,
         sample_key=lambda rng: rng.getrandbits(128).to_bytes(16, "big"))
 

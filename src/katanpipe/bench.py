@@ -5,6 +5,9 @@ bps = 8*B/t, and Kb/s divides that by 1000 (decimal kilobit, not 1024).
 Reported rates are rounded to two decimals, half away from zero.  The
 send-rate helper answers "how many fixed-size chunks per second does a
 target line rate correspond to".
+
+A ThroughputSample needs n_bytes >= 0 and a finite elapsed_s > 0, and a
+BenchReport at least one sample; each type checks this when built.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from random import Random
 
 from .baselines import get_cipher
+from .codec import CIPHER
 from .errors import (
     BadLength,
     EmptySamples,
@@ -43,6 +47,13 @@ class ThroughputSample:
     n_bytes: int
     elapsed_s: float
 
+    def __post_init__(self):
+        if self.n_bytes < 0:
+            raise ValueError(f"byte count cannot be negative: {self.n_bytes}")
+        if not math.isfinite(self.elapsed_s) or self.elapsed_s <= 0:
+            raise NonPositiveElapsed(
+                f"elapsed_s must be finite and > 0, got {self.elapsed_s}")
+
     @property
     def bits(self) -> int:
         return 8 * self.n_bytes
@@ -56,15 +67,6 @@ class ThroughputSample:
         return self.bps / 1000.0
 
 
-def compute_throughput(n_bytes: int, elapsed_s: float) -> ThroughputSample:
-    """Build a sample, rejecting non-positive or non-finite elapsed time."""
-    if n_bytes < 0:
-        raise ValueError(f"byte count cannot be negative: {n_bytes}")
-    if not math.isfinite(elapsed_s) or elapsed_s <= 0:
-        raise NonPositiveElapsed(f"elapsed_s must be finite and > 0, got {elapsed_s}")
-    return ThroughputSample(int(n_bytes), float(elapsed_s))
-
-
 @dataclass(frozen=True)
 class BenchReport:
     """A set of samples for one cipher plus where they were taken."""
@@ -73,17 +75,13 @@ class BenchReport:
     environment: str
     samples: tuple
 
+    def __post_init__(self):
+        if not self.samples:
+            raise EmptySamples("a report needs at least one sample")
+
     @property
     def average_kbps(self) -> float:
         return round2(sum(s.kbps for s in self.samples) / len(self.samples))
-
-
-def summarize(samples, *, cipher: str = "", environment: str = "") -> BenchReport:
-    """Collect samples into a report."""
-    samples = tuple(samples)
-    if not samples:
-        raise EmptySamples("a report needs at least one sample")
-    return BenchReport(cipher=cipher, environment=environment, samples=samples)
 
 
 def measure_cipher(name: str, *, total_bytes: int, repetitions: int,
@@ -113,10 +111,10 @@ def measure_cipher(name: str, *, total_bytes: int, repetitions: int,
         t0 = time.perf_counter()
         for block in blocks:
             encrypt_one(block, key)
-        samples.append(compute_throughput(total_bytes, time.perf_counter() - t0))
+        samples.append(ThroughputSample(total_bytes, time.perf_counter() - t0))
     environment = (f"{platform.python_implementation()} {platform.python_version()} "
                    f"on {platform.system().lower()}")
-    return summarize(samples, cipher=cipher.name, environment=environment)
+    return BenchReport(name, environment, tuple(samples))
 
 
 def measure_pipeline(server_url: str, device_id: str, key: Key80, *,
@@ -131,9 +129,8 @@ def measure_pipeline(server_url: str, device_id: str, key: Key80, *,
         data = rng.randbytes(chunk_bytes)
         t0 = time.perf_counter()
         send_payload(server_url, device_id, key, data)
-        samples.append(compute_throughput(chunk_bytes, time.perf_counter() - t0))
-    return summarize(samples, cipher="KATAN32",
-                     environment=f"pipeline to {server_url}")
+        samples.append(ThroughputSample(chunk_bytes, time.perf_counter() - t0))
+    return BenchReport(CIPHER, f"pipeline to {server_url}", tuple(samples))
 
 
 def sends_per_second(target_bps: float, chunk_bytes: int) -> tuple:
@@ -141,15 +138,15 @@ def sends_per_second(target_bps: float, chunk_bytes: int) -> tuple:
 
     Returns (sends_per_s, interval_s).
     """
-    if not target_bps > 0:
-        raise NonPositiveInput(f"target_bps must be > 0, got {target_bps}")
+    if not (math.isfinite(target_bps) and target_bps > 0):
+        raise NonPositiveInput(f"target_bps must be finite and > 0, got {target_bps}")
     if not chunk_bytes > 0:
         raise NonPositiveInput(f"chunk_bytes must be > 0, got {chunk_bytes}")
     sends = target_bps / (8.0 * chunk_bytes)
     return sends, 1.0 / sends
 
 
-def emit_report(report: BenchReport, fmt: str = "table") -> str:
+def emit_report(report: BenchReport, fmt: str) -> str:
     """Render a report as a text table or CSV."""
     if fmt == "csv":
         lines = [CSV_HEADER]
@@ -159,13 +156,10 @@ def emit_report(report: BenchReport, fmt: str = "table") -> str:
         lines.append(f"average,,,,{report.average_kbps:.2f}")
         return "\n".join(lines) + "\n"
     if fmt == "table":
-        lines = []
-        if report.cipher:
-            lines.append(f"cipher       {report.cipher}")
-        if report.environment:
-            lines.append(f"environment  {report.environment}")
-        lines.append(f"{'bytes':>10} {'bits':>10} {'elapsed_s':>12} "
-                     f"{'b/s':>14} {'Kb/s':>10}")
+        lines = [f"cipher       {report.cipher}",
+                 f"environment  {report.environment}",
+                 f"{'bytes':>10} {'bits':>10} {'elapsed_s':>12} "
+                 f"{'b/s':>14} {'Kb/s':>10}"]
         for s in report.samples:
             lines.append(f"{s.n_bytes:>10} {s.bits:>10} {s.elapsed_s:>12.6f} "
                          f"{round2(s.bps):>14.2f} {round2(s.kbps):>10.2f}")
@@ -184,7 +178,7 @@ def parse_table5_csv(text: str) -> list:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise ValueError(f"expected 'bytes,ms' row, got {line!r}")
-        samples.append(compute_throughput(int(parts[0]), float(parts[1]) / 1000.0))
+        samples.append(ThroughputSample(int(parts[0]), float(parts[1]) / 1000.0))
     return samples
 
 
@@ -198,5 +192,5 @@ def parse_report_csv(text: str) -> list:
         parts = line.split(",")
         if parts[0] == "average":
             continue
-        samples.append(compute_throughput(int(parts[0]), float(parts[2])))
+        samples.append(ThroughputSample(int(parts[0]), float(parts[2])))
     return samples

@@ -12,16 +12,17 @@ import sys
 from pathlib import Path
 from random import Random
 
-from .codec import decrypt_payload, encrypt_payload
+from .codec import CIPHER, decrypt_payload, encrypt_payload
 from .errors import BadLengthInvariant, EmptyInput, KatanPipeError
 from .katan import Key80, format_key, parse_key, random_key
 from .transport import (
     DEFAULT_MAX_DECODED,
     BlobStore,
-    MetaRecord,
     create_server,
     fetch_remote_blob,
     fetch_remote_meta,
+    format_meta,
+    parse_meta,
     send_payload,
 )
 
@@ -69,9 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--format", default="table", help="table or csv")
     report.add_argument("--out", help="write the report here instead of stdout")
     reps = _Parser(add_help=False)
-    reps.add_argument("--reps", type=int, default=9, help="number of repetitions")
+    reps.add_argument("--reps", type=_positive_int, default=9,
+                      help="number of repetitions")
     chunk = _Parser(add_help=False)
-    chunk.add_argument("--chunk-bytes", type=int, default=250,
+    chunk.add_argument("--chunk-bytes", type=_positive_int, default=250,
                        help="payload bytes per send")
 
     p = sub.add_parser("keygen", help="generate an 80-bit key")
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="ciphertext input path")
     p.add_argument("--out", required=True, help="plaintext output path")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--len", type=int, help="plaintext length in bytes")
+    g.add_argument("--len", type=_positive_int, help="plaintext length in bytes")
     g.add_argument("--meta", help="meta file describing the blob segments")
     p.set_defaults(func=cmd_decrypt)
 
@@ -124,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="bench_command", required=True, parser_class=_Parser)
 
     p = bench.add_parser("cipher", parents=[reps, report], help="time block encryption")
-    p.add_argument("--cipher", default="KATAN32",
+    p.add_argument("--cipher", default=CIPHER,
                    help="KATAN32, PRESENT or AES-128 (AES-128 needs cryptography)")
-    p.add_argument("--bytes", type=int, default=4096,
+    p.add_argument("--bytes", type=_positive_int, default=4096,
                    help="bytes per repetition (multiple of the block size)")
     p.add_argument("--seed", type=int, help="seed the data/key RNG")
     p.set_defaults(func=cmd_bench_cipher)
@@ -176,15 +178,14 @@ def cmd_decrypt(args) -> int:
     key = _read_key(args.key)
     blob = Path(args.infile).read_bytes()
     if args.meta is not None:
-        lines = Path(args.meta).read_text(encoding="ascii").splitlines()
-        records = [MetaRecord.parse(line) for line in lines if line.strip()]
+        records = parse_meta(Path(args.meta).read_text(encoding="ascii"))
         if not records:
             raise EmptyInput(f"no records in meta file {args.meta}")
         for r in records:
             if r.offset + r.length > len(blob):
                 raise BadLengthInvariant(
-                    f"meta record {r.line()!r} runs past the end of the "
-                    f"{len(blob)}-byte blob")
+                    f"meta record {format_meta([r]).strip()!r} runs past the "
+                    f"end of the {len(blob)}-byte blob")
         out = b"".join(
             decrypt_payload(blob[r.offset:r.offset + r.length], r.plaintext_len, key)
             for r in records)
@@ -231,8 +232,7 @@ def cmd_fetch(args) -> int:
         print(f"blob {len(blob)} bytes -> {args.blob_out}")
     if args.meta_out:
         records = fetch_remote_meta(args.server, args.device)
-        text = "".join(record.line() + "\n" for record in records)
-        Path(args.meta_out).write_text(text, encoding="ascii")
+        Path(args.meta_out).write_text(format_meta(records), encoding="ascii")
         print(f"meta {len(records)} record(s) -> {args.meta_out}")
     return 0
 
@@ -259,10 +259,9 @@ def cmd_bench_pipeline(args) -> int:
 
 
 def cmd_bench_table5(args) -> int:
-    from .bench import emit_report, parse_table5_csv, summarize
+    from .bench import BenchReport, emit_report, parse_table5_csv
     samples = parse_table5_csv(Path(args.csv).read_text(encoding="ascii"))
-    report = summarize(samples, cipher="KATAN32",
-                       environment=f"replayed from {args.csv}")
+    report = BenchReport(CIPHER, f"replayed from {args.csv}", tuple(samples))
     _emit(emit_report(report, args.format), args.out)
     return 0
 

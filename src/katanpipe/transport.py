@@ -15,7 +15,8 @@ Routes:
 * ``GET /api/v1/devices/{id}/blob`` -> the device's stored ciphertext,
   concatenated in append order
 * ``GET /api/v1/devices/{id}/meta`` -> one ``seq ts_ms plaintext_len
-  offset length`` line per message, with offsets into that blob
+  offset length`` line per message, with offsets into that blob;
+  ``format_meta`` writes this body and ``parse_meta`` reads it
 * ``GET /health`` -> ``ok``
 
 ``_Handler._reply`` answers every failure of a GET or POST that reaches
@@ -126,15 +127,25 @@ class MetaRecord:
     offset: int
     length: int
 
-    def line(self) -> str:
-        return f"{self.seq} {self.ts_ms} {self.plaintext_len} {self.offset} {self.length}"
 
-    @classmethod
-    def parse(cls, line: str) -> "MetaRecord":
+def format_meta(records) -> str:
+    """A meta body: one ``seq ts_ms plaintext_len offset length`` line per
+    record, each ending in a newline."""
+    return "".join(f"{r.seq} {r.ts_ms} {r.plaintext_len} {r.offset} {r.length}\n"
+                   for r in records)
+
+
+def parse_meta(text: str) -> list:
+    """The MetaRecords of a meta body, skipping blank lines.  Raise
+    ValueError for a line that is not five plain decimal fields."""
+    records = []
+    for line in text.splitlines():
         parts = line.split()
-        if len(parts) != 5:
+        if len(parts) == 5:
+            records.append(MetaRecord(*map(_digits, parts)))
+        elif parts:
             raise ValueError(f"meta line needs 5 fields: {line!r}")
-        return cls(*map(_digits, parts))
+    return records
 
 
 LOG_NAME = "store.log"
@@ -323,8 +334,7 @@ class _Handler(BaseHTTPRequestHandler):
         device_id, store = unquote(m.group(1)), self.server.store
         if m.group(2) == "blob":
             return store.fetch_blob(device_id), "application/octet-stream"
-        lines = "".join(record.line() + "\n" for record in store.fetch_meta(device_id))
-        return lines.encode("ascii"), "text/plain"
+        return format_meta(store.fetch_meta(device_id)).encode("ascii"), "text/plain"
 
     def _post(self) -> tuple:
         if self.path != f"{API_PREFIX}/ingest":
@@ -532,7 +542,6 @@ def fetch_remote_meta(server_url: str, device_id: str) -> list:
     check_device_id(device_id)
     resp = _get(server_url, f"{API_PREFIX}/devices/{device_id}/meta")
     try:
-        return [MetaRecord.parse(line)
-                for line in resp.content.decode("ascii").splitlines() if line.strip()]
+        return parse_meta(resp.content.decode("ascii"))
     except ValueError:
         raise ServerRejected(resp.status_code, "malformed meta") from None

@@ -12,10 +12,10 @@ import numpy as np
 
 from katanpipe.baselines import present_decrypt, present_encrypt
 from katanpipe.bench import (
-    compute_throughput,
+    BenchReport,
+    ThroughputSample,
     measure_cipher,
     sends_per_second,
-    summarize,
 )
 from katanpipe.codec import decrypt_payload, encrypt_payload
 from katanpipe.katan import (
@@ -117,10 +117,10 @@ def test_c4_measured_rate_table_replays():
     ]
     samples = []
     for n_bytes, ms, published_bps in rows:
-        sample = compute_throughput(n_bytes, ms / 1000.0)
+        sample = ThroughputSample(n_bytes, ms / 1000.0)
         assert abs(sample.bps - published_bps) <= 0.01
         samples.append(sample)
-    report = summarize(samples, cipher="KATAN32")
+    report = BenchReport("KATAN32", "replayed", tuple(samples))
     assert report.average_kbps == 11.12
 
     elapsed = time.perf_counter() - t0

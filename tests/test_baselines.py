@@ -89,9 +89,6 @@ class TestRegistry:
         aes_key = aes.sample_key(rng)
         assert type(aes_key) is bytes and len(aes_key) == 16
 
-    def test_list_ciphers_matches_names(self):
-        assert all(name == desc.name for name, desc in CIPHERS.items())
-
     def test_unknown_cipher(self):
         with pytest.raises(UnknownCipher):
             get_cipher("ROT13")

@@ -6,7 +6,8 @@ import pytest
 import requests
 
 from katanpipe.cli import build_parser, main
-from katanpipe.katan import parse_key
+from katanpipe.katan import Key80, parse_key
+from katanpipe.transport import send_payload
 
 TABLE5_CSV = "bytes,ms\n" + "".join(
     f"250,{ms}\n" for ms in (105, 210, 176, 286, 150, 182, 208, 208, 208))
@@ -153,6 +154,14 @@ class TestServerCommands:
         assert code == 0
         assert (tmp_path / "r.bin").read_bytes() == plain.read_bytes()
 
+    def test_meta_out_is_the_server_meta_body(self, capsys, tmp_path, ingest_server):
+        base, _ = ingest_server
+        send_payload(base, "mo", Key80(9), bytes(1000), per_chunk=True)
+        code, _, _ = run_cli(capsys, "fetch", "--server", base, "--device", "mo",
+                             "--meta-out", str(tmp_path / "m.txt"))
+        body = requests.get(f"{base}/api/v1/devices/mo/meta", timeout=5).content
+        assert code == 0 and (tmp_path / "m.txt").read_bytes() == body
+
     def test_fetch_requires_an_output(self, capsys, ingest_server):
         base, _ = ingest_server
         code, _, err = run_cli(capsys, "fetch", "--server", base, "--device", "d")
@@ -230,8 +239,9 @@ class TestBenchCommands:
         assert "interval_s 2e-06" in out
 
     def test_rate_rejects_zero(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "rate", "--target-bps", "0")
-        assert code == 2 and err.startswith("error:")
+        for bps in ("0", "inf"):
+            code, _, err = run_cli(capsys, "bench", "rate", "--target-bps", bps)
+            assert code == 2 and err.startswith("error:")
 
     def test_cipher_bench(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "cipher", "--cipher", "KATAN32",
@@ -272,8 +282,25 @@ class TestUsageErrors:
         ["serve", "--addr", "h:\u0668\u0660"],
         ["serve", "--max-payload", "0"],
         ["serve", "--max-payload", "-5"],
+        ["bench", "cipher", "--bytes", "+5_12"],
+        ["bench", "cipher", "--bytes", "0"],
+        ["bench", "cipher", "--bytes", "-1"],
+        ["bench", "cipher", "--reps", "\u0662"],
+        ["bench", "cipher", "--reps", "0"],
+        ["bench", "cipher", "--reps", "-1"],
+        ["bench", "rate", "--target-bps", "1e9", "--chunk-bytes", "2_5_0"],
+        ["bench", "rate", "--target-bps", "1e9", "--chunk-bytes", "0"],
+        ["bench", "rate", "--target-bps", "1e9", "--chunk-bytes", "-1"],
+        ["decrypt", "--key", "k", "--in", "a", "--out", "b", "--len", "+5_12"],
+        ["decrypt", "--key", "k", "--in", "a", "--out", "b", "--len", "0"],
+        ["decrypt", "--key", "k", "--in", "a", "--out", "b", "--len", "-1"],
     ])
-    def test_exit_code_1(self, capsys, argv):
+    def test_exit_code_1(self, capsys, monkeypatch, tmp_path, argv):
+        # A serve case that parses must fail at BlobStore, not bind and
+        # serve forever.
+        (tmp_path / "data").touch()
+        monkeypatch.setenv("KATANPIPE_DATA", str(tmp_path / "data"))
+        monkeypatch.setenv("KATANPIPE_ADDR", "127.0.0.1:0")
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith("error:")

@@ -19,8 +19,10 @@ from katanpipe.transport import (
     check_device_id,
     fetch_remote_blob,
     fetch_remote_meta,
+    format_meta,
     ingest,
     now_ms,
+    parse_meta,
     send_payload,
 )
 
@@ -68,18 +70,22 @@ class TestMetaRecord:
     def test_line_format(self):
         rec = MetaRecord(seq=3, ts_ms=1723900000000, plaintext_len=300,
                          offset=512, length=512)
-        assert rec.line() == "3 1723900000000 300 512 512"
-        assert MetaRecord.parse(rec.line()) == rec
+        assert format_meta([rec]) == "3 1723900000000 300 512 512\n"
+        assert parse_meta(format_meta([rec])) == [rec]
+
+    def test_blank_lines_skipped(self):
+        assert parse_meta("") == []
+        assert parse_meta(" \n\n1 2 3 4 5\n\t\n") == [MetaRecord(1, 2, 3, 4, 5)]
 
     @pytest.mark.parametrize("bad", [
-        "", "1 2 3 4", "1 2 3 4 5 6", "a b c d e",
+        "1 2 3 4", "1 2 3 4 5 6", "a b c d e",
         pytest.param("1" * 5000 + " 2 3 4 5", id="past the int-string digit limit"),
         # int() reads all of these.
         "0 1 2 -256 256", "+1 2 3 4 5", "1_000 2 3 4 5", "\u0663 2 3 4 5",
     ])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
-            MetaRecord.parse(bad)
+            parse_meta(bad)
 
 
 class TestBlobStore:
@@ -303,9 +309,7 @@ class TestHttpServer:
         assert blob.headers["Content-Type"] == "application/octet-stream"
         assert blob.content == ciphertext
         meta = requests.get(f"{base}/api/v1/devices/loop/meta", timeout=5)
-        lines = meta.text.splitlines()
-        assert len(lines) == 1
-        rec = MetaRecord.parse(lines[0])
+        (rec,) = parse_meta(meta.text)
         assert (rec.plaintext_len, rec.offset, rec.length) == (700, 0, 768)
         assert decrypt_payload(blob.content, rec.plaintext_len, key) == data
 
