@@ -20,7 +20,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from random import Random
 
 from .baselines import get_cipher
-from .codec import CIPHER
+from .codec import CIPHER, encrypt_payload
 from .errors import (
     BadLength,
     EmptySamples,
@@ -124,6 +124,7 @@ def measure_pipeline(server_url: str, device_id: str, key: Key80, *,
         raise NonPositiveInput(f"chunk_bytes must be > 0, got {chunk_bytes}")
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
+    encrypt_payload(bytes(1), key)  # build the cipher kernel before timing
     samples = []
     for _ in range(repetitions):
         data = rng.randbytes(chunk_bytes)

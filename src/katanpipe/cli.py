@@ -53,6 +53,14 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
+def _signed_int(text: str) -> int:
+    # int() would also take "+3", "1_0", " 3" and non-ASCII digits.
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
 def _read_key(path: str) -> Key80:
     return parse_key(Path(path).read_text(encoding="ascii"))
 
@@ -78,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate an 80-bit key")
     p.add_argument("--out", help="write the key here instead of stdout")
-    p.add_argument("--seed", type=int,
+    p.add_argument("--seed", type=_signed_int,
                    help="derive the key from a seeded RNG (for reproducibility)")
     p.set_defaults(func=cmd_keygen)
 
@@ -130,12 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="KATAN32, PRESENT or AES-128 (AES-128 needs cryptography)")
     p.add_argument("--bytes", type=_positive_int, default=4096,
                    help="bytes per repetition (multiple of the block size)")
-    p.add_argument("--seed", type=int, help="seed the data/key RNG")
+    p.add_argument("--seed", type=_signed_int, help="seed the data/key RNG")
     p.set_defaults(func=cmd_bench_cipher)
 
     p = bench.add_parser("pipeline", parents=[remote, key, chunk, reps, report],
                          help="time encrypt+post round trips")
-    p.add_argument("--seed", type=int, help="seed the payload RNG")
+    p.add_argument("--seed", type=_signed_int, help="seed the payload RNG")
     p.set_defaults(func=cmd_bench_pipeline)
 
     p = bench.add_parser("table5", parents=[report],

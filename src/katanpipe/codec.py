@@ -3,9 +3,12 @@
 A payload is split into 256-byte chunks (the last one zero padded), each
 chunk is reinterpreted as 32 little-endian 64-bit words, and those words
 are exactly one bitsliced KATAN32 batch.  The cipher runs on up to
-SLAB_CHUNKS chunks side by side per call.  Padding is never removed by
-inspection: the plaintext length rides alongside the ciphertext and is
-authoritative, so payloads ending in zero bytes survive the round trip.
+SLAB_CHUNKS chunks side by side per call.  A one-chunk slab, the whole of
+a 250-byte reading, is unpacked into its 32 words and packed back with
+one struct call each; wider slabs go through strided memoryviews.
+Padding is never removed by inspection: the plaintext length rides
+alongside the ciphertext and is authoritative, so payloads ending in zero
+bytes survive the round trip.
 
 On the wire an encrypted payload travels as a JSON object with exactly
 the fields device_id, seq, ts_ms, cipher, plaintext_len and payload,
@@ -20,6 +23,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import struct
 from dataclasses import dataclass
 
 from .errors import (
@@ -38,6 +42,8 @@ CHUNK_BYTES = 256
 # Chunks per cipher call (64 KiB): caps the working set, and so peak
 # RAM, however large the payload is.
 SLAB_CHUNKS = 256
+# One chunk as its 32 little-endian 64-bit words.
+_ONE_CHUNK = struct.Struct(f"<{BATCH_WORDS}Q")
 
 ENVELOPE_FIELDS = ("device_id", "seq", "ts_ms", "cipher", "plaintext_len", "payload")
 
@@ -58,9 +64,10 @@ def _crypt_slabs(kernel, data, key: Key80, keep: int) -> bytes:
     a time and return the first ``keep`` bytes of the result.
 
     Word b of an n-chunk slab is one int holding word b of chunk c in
-    bits 64c..64c+63.  The "Q" casts only step over raw 8-byte groups,
-    and from_bytes/to_bytes fix little-endian, so the host's byte order
-    never enters.
+    bits 64c..64c+63.  A one-chunk slab is read and written with one
+    struct call; wider slabs step over raw 8-byte groups with "Q" casts,
+    and from_bytes/to_bytes fix little-endian.  Either way the host's
+    byte order never enters.
     """
     step = SLAB_CHUNKS * CHUNK_BYTES
     out = []
@@ -68,14 +75,17 @@ def _crypt_slabs(kernel, data, key: Key80, keep: int) -> bytes:
         slab = bytes(data[start:start + step])
         slab += bytes(-len(slab) % CHUNK_BYTES)
         width = len(slab) // BATCH_WORDS
-        q = memoryview(slab).cast("Q")
-        words = kernel([int.from_bytes(q[b::BATCH_WORDS], "little")
-                        for b in range(BATCH_WORDS)],
-                       _subkey_words(key.value, (1 << 8 * width) - 1))
-        res = bytearray(len(slab))
-        with memoryview(res).cast("Q") as rq:
-            for b, w in enumerate(words):
-                rq[b::BATCH_WORDS] = memoryview(w.to_bytes(width, "little")).cast("Q")
+        sk = _subkey_words(key.value, (1 << 8 * width) - 1)
+        if len(slab) == CHUNK_BYTES:
+            res = bytearray(_ONE_CHUNK.pack(*kernel(_ONE_CHUNK.unpack(slab), sk)))
+        else:
+            q = memoryview(slab).cast("Q")
+            words = kernel([int.from_bytes(q[b::BATCH_WORDS], "little")
+                            for b in range(BATCH_WORDS)], sk)
+            res = bytearray(len(slab))
+            with memoryview(res).cast("Q") as rq:
+                for b, w in enumerate(words):
+                    rq[b::BATCH_WORDS] = memoryview(w.to_bytes(width, "little")).cast("Q")
         del res[keep - start:]
         out.append(res)
     return b"".join(out)

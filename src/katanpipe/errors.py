@@ -88,6 +88,35 @@ class RequestTimeout(KatanPipeError):
     status = 408
 
 
+class MalformedRequest(KatanPipeError):
+    """The request line cannot be read, or a two-word (HTTP/0.9) request
+    line names a method other than GET."""
+
+
+class RequestLineTooLong(KatanPipeError):
+    """The request line is over 64 KiB."""
+
+    status = 414
+
+
+class HeaderTooLarge(KatanPipeError):
+    """A header line is over 64 KiB, or there are over 100 headers."""
+
+    status = 431
+
+
+class UnsupportedMethod(KatanPipeError):
+    """The method is neither GET nor POST."""
+
+    status = 501
+
+
+class UnsupportedVersion(KatanPipeError):
+    """The request line names HTTP/2.0 or later."""
+
+    status = 505
+
+
 class StorageFailure(KatanPipeError):
     """The store could not durably append a message."""
 

@@ -13,6 +13,11 @@ the all-ones word each subkey bit is widened to, differs:
 * The codec's payload path: up to a fixed number of 256-byte chunks per
   call, chunk ``c`` in bits 64c..64c+63 of each word.
 
+Each of the two functions is straight-line code: its source is generated
+from the register taps and the round constants, one tuple assignment per
+round, and compiled on the direction's first call (a few milliseconds),
+so a process that never runs the cipher never builds it.
+
 Bit conventions, fixed once and used everywhere:
 
 * An 80-bit key is written as 20 hex digits; key bit ``k_0`` is the most
@@ -43,6 +48,7 @@ MASK32 = (1 << 32) - 1
 MASK64 = (1 << 64) - 1
 
 _L2_BITS = 19
+_L1_BITS = BLOCK_BITS - _L2_BITS
 
 # Two subkey bits are consumed per round.
 _SCHEDULE_BITS = 2 * ROUNDS
@@ -132,32 +138,75 @@ def _subkey_words(key_value: int, ones: int) -> tuple:
     return tuple(ones if bit else 0 for bit in _expanded_bits(key_value))
 
 
+def _kernel_source(decrypt: bool) -> str:
+    """Source of one straight-line kernel ``kernel(words, sk)``.
+
+    Each round is one tuple assignment on the register names b0..b18
+    (L2) and a0..a12 (L1).  The new bit of a register is written into the
+    name of the bit it drops, so the registers are renamed, not shifted:
+    in round r, position i of L1 is held by a{(i - r) % 13} when
+    encrypting and by a{(i + r) % 13} when decrypting, and likewise for
+    L2 modulo 19.
+    """
+    step = 1 if decrypt else -1
+
+    def a(i, r):
+        return f"a{(i + step * r) % _L1_BITS}"
+
+    def b(i, r):
+        return f"b{(i + step * r) % _L2_BITS}"
+
+    keys = [f"k{i}" for i in range(_SCHEDULE_BITS)]
+    lines = [
+        "def kernel(words, sk):",
+        "    " + ", ".join([b(i, 0) for i in range(_L2_BITS)]
+                           + [a(i, 0) for i in range(_L1_BITS)]) + " = words",
+        "    " + ", ".join(keys) + " = sk",
+    ]
+    for r in range(ROUNDS):
+        # Decrypting undoes the encryption rounds last to first.
+        n = ROUNDS - 1 - r if decrypt else r
+        ka, kb = keys[2 * n], keys[2 * n + 1]
+        if decrypt:
+            # Position 0 of each register holds the other's feedback bit,
+            # which recomputes the dropped top bit: every other tap
+            # survives the shift, one position further up.
+            ir = f" ^ {a(4, r)}" if _IR[n] else ""
+            lines.append(
+                f"    {a(0, r)}, {b(0, r)} = "
+                f"{b(0, r)} ^ {a(8, r)} ^ ({a(9, r)} & {a(6, r)}){ir} ^ {ka}, "
+                f"{a(0, r)} ^ {b(8, r)} ^ ({b(13, r)} & {b(11, r)}) "
+                f"^ ({b(9, r)} & {b(4, r)}) ^ {kb}")
+        else:
+            # Each register's feedback goes into the other's dropped bit.
+            ir = f" ^ {a(3, r)}" if _IR[n] else ""
+            lines.append(
+                f"    {a(12, r)}, {b(18, r)} = "
+                f"{b(18, r)} ^ {b(7, r)} ^ ({b(12, r)} & {b(10, r)}) "
+                f"^ ({b(8, r)} & {b(3, r)}) ^ {kb}, "
+                f"{a(12, r)} ^ {a(7, r)} ^ ({a(8, r)} & {a(5, r)}){ir} ^ {ka}")
+    lines.append("    return [" + ", ".join([b(i, ROUNDS) for i in range(_L2_BITS)]
+                                           + [a(i, ROUNDS) for i in range(_L1_BITS)]) + "]")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=None)
+def _kernel(decrypt: bool):
+    """Compile one direction's kernel, on its first call only."""
+    namespace = {}
+    name = "decrypt" if decrypt else "encrypt"
+    exec(compile(_kernel_source(decrypt), f"<katan32 {name}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def _encrypt_words(words, sk) -> list:
     """All 254 rounds on 32 bitsliced words (0..18 are L2, 19..31 are L1)."""
-    b = list(words[:_L2_BITS])
-    a = list(words[_L2_BITS:])
-    for ir, ka, kb in zip(_IR, sk[0::2], sk[1::2]):
-        fa = a[12] ^ a[7] ^ (a[8] & a[5]) ^ (a[3] if ir else 0) ^ ka
-        fb = b[18] ^ b[7] ^ (b[12] & b[10]) ^ (b[8] & b[3]) ^ kb
-        a.pop()
-        a.insert(0, fb)
-        b.pop()
-        b.insert(0, fa)
-    return b + a
+    return _kernel(False)(words, sk)
 
 
 def _decrypt_words(words, sk) -> list:
     """Inverse of _encrypt_words, running the rounds backwards."""
-    b = list(words[:_L2_BITS])
-    a = list(words[_L2_BITS:])
-    for ir, ka, kb in zip(reversed(_IR), sk[-2::-2], sk[::-2]):
-        fb = a.pop(0)
-        fa = b.pop(0)
-        # The dropped top bits are recoverable because every other tap
-        # survives the shift.
-        a.append(fa ^ a[7] ^ (a[8] & a[5]) ^ (a[3] if ir else 0) ^ ka)
-        b.append(fb ^ b[7] ^ (b[12] & b[10]) ^ (b[8] & b[3]) ^ kb)
-    return b + a
+    return _kernel(True)(words, sk)
 
 
 def _crypt_block(kernel, block, key: Key80):

@@ -23,10 +23,11 @@ Routes:
 it: a raised KatanPipeError ``exc`` with ``{"status": "rejected",
 "reason": exc.reason}`` and status ``exc.status``, any other exception
 with 500 ``InternalError``.  Every rejection closes the connection.
-``http.server`` itself answers, in HTML, any other method and any request
-line or header it cannot read.  A POST with ``Transfer-Encoding`` is
-rejected before its body is read, and a body that stops arriving for
-REQUEST_TIMEOUT_S gets 408 ``RequestTimeout``.
+``_Handler.send_error`` answers the same way what ``http.server`` turns
+away itself: any other method, and any request line or header it cannot
+read; a ``HEAD`` reply leaves out the body.  A POST with
+``Transfer-Encoding`` is rejected before its body is read, and a body
+that stops arriving for REQUEST_TIMEOUT_S gets 408 ``RequestTimeout``.
 
 The client half (``send_payload``, ``fetch_remote_blob``,
 ``fetch_remote_meta``) speaks HTTP/1.1 through ``http.client`` on one
@@ -66,14 +67,19 @@ from .errors import (
     BadDeviceId,
     ConnectionFailed,
     EmptyInput,
+    HeaderTooLarge,
     KatanPipeError,
     MalformedJson,
+    MalformedRequest,
     NotFound,
     PayloadTooLarge,
+    RequestLineTooLong,
     RequestTimeout,
     ServerRejected,
     StorageFailure,
     UnknownDevice,
+    UnsupportedMethod,
+    UnsupportedVersion,
 )
 from .katan import Key80
 
@@ -280,6 +286,23 @@ def ingest(store: BlobStore, body,
     return len(env.ciphertext)
 
 
+def _refuse(code: int, message):
+    """Raise the typed error for a request ``http.server`` turned away
+    with status ``code``: MalformedRequest (400) for 400 and for any code
+    not listed."""
+    match code:
+        case 414:
+            raise RequestLineTooLong(message)
+        case 431:
+            raise HeaderTooLarge(message)
+        case 501:
+            raise UnsupportedMethod(message)
+        case 505:
+            raise UnsupportedVersion(message)
+        case _:
+            raise MalformedRequest(message)
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "katanpipe/0.1"
     protocol_version = "HTTP/1.1"
@@ -297,7 +320,8 @@ class _Handler(BaseHTTPRequestHandler):
             # Also sets close_connection.
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
     def _reply(self, route) -> None:
         """Send what ``route()`` returns, or the rejection it raises."""
@@ -318,6 +342,16 @@ class _Handler(BaseHTTPRequestHandler):
             # connection, and tell the client so it does not reuse it.
             content_type, close = "application/json", True
         self._send(status, body, content_type, close)
+
+    def send_error(self, code, message=None, explain=None):
+        """Answer a request ``http.server`` turns away before any do_*
+        method runs (unreadable request line or headers, another method)
+        like every other rejection."""
+        self.log_error("code %d, message %s", code, message)
+        # Still "HTTP/0.9" when the request line's version could not be
+        # read, which would leave out the status line and headers.
+        self.request_version = self.protocol_version
+        self._reply(lambda: _refuse(code, message))
 
     def do_GET(self):
         self._reply(self._get)

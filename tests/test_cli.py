@@ -6,7 +6,7 @@ import pytest
 import requests
 
 from katanpipe.cli import build_parser, main
-from katanpipe.katan import Key80, parse_key
+from katanpipe.katan import Key80, format_key, parse_key, random_key
 from katanpipe.transport import send_payload
 
 TABLE5_CSV = "bytes,ms\n" + "".join(
@@ -36,6 +36,13 @@ class TestKeygen:
         _, second, _ = run_cli(capsys, "keygen", "--seed", "42")
         _, other, _ = run_cli(capsys, "keygen", "--seed", "43")
         assert first == second != other
+
+    # A seed may be negative; it seeds the RNG exactly as int() reads it.
+    @pytest.mark.parametrize("seed", ["-5", "0", "7"])
+    def test_seed_seeds_the_rng(self, capsys, seed):
+        code, out, _ = run_cli(capsys, "keygen", "--seed", seed)
+        assert code == 0
+        assert out == format_key(random_key(random.Random(int(seed)))) + "\n"
 
 
 class TestEncryptDecrypt:
@@ -294,6 +301,14 @@ class TestUsageErrors:
         ["decrypt", "--key", "k", "--in", "a", "--out", "b", "--len", "+5_12"],
         ["decrypt", "--key", "k", "--in", "a", "--out", "b", "--len", "0"],
         ["decrypt", "--key", "k", "--in", "a", "--out", "b", "--len", "-1"],
+        ["keygen", "--seed", "\u0663"],
+        ["keygen", "--seed", "+3"],
+        ["keygen", "--seed", "1_0"],
+        ["keygen", "--seed", " 3"],
+        ["keygen", "--seed", "-"],
+        ["bench", "cipher", "--bytes", "512", "--seed", "1_0"],
+        ["bench", "pipeline", "--server", "http://127.0.0.1:9", "--device", "d",
+         "--key", "k", "--seed", "+3"],
     ])
     def test_exit_code_1(self, capsys, monkeypatch, tmp_path, argv):
         # A serve case that parses must fail at BlobStore, not bind and

@@ -118,20 +118,25 @@ GOLDEN_DIGESTS = {
 class TestWidePayloadPath:
     """The payload path runs up to SLAB_CHUNKS chunks per kernel call."""
 
-    def test_lanes_match_compiled_reference_across_the_width_cap(self, katan_oracle):
+    # One chunk takes the struct path, three a short memoryview slab, and
+    # SLAB_CHUNKS + 1 a full slab and then a one-chunk one.
+    @pytest.mark.parametrize("chunks", [1, 3, SLAB_CHUNKS + 1])
+    def test_lanes_match_compiled_reference_across_the_width_cap(self, katan_oracle,
+                                                                 chunks):
         rng = random.Random(157)
         key = Key80(rng.getrandbits(80))
-        data = rng.randbytes((SLAB_CHUNKS + 1) * CHUNK_BYTES)
+        data = rng.randbytes(chunks * CHUNK_BYTES)
         ciphertext, _ = encrypt_payload(data, key)
         expected = [int(x, 16) for x in katan_oracle(
             [f"enc {key.value:020x} {block:08x}" for block in lanes(data)])]
         assert lanes(ciphertext) == expected
 
+    @pytest.mark.parametrize("chunks", [1, 3, SLAB_CHUNKS + 1])
     def test_decrypt_lanes_match_compiled_reference_across_the_width_cap(
-            self, katan_oracle):
+            self, katan_oracle, chunks):
         rng = random.Random(163)
         key = Key80(rng.getrandbits(80))
-        ciphertext = rng.randbytes((SLAB_CHUNKS + 1) * CHUNK_BYTES)
+        ciphertext = rng.randbytes(chunks * CHUNK_BYTES)
         plain = decrypt_payload(ciphertext, len(ciphertext), key)
         expected = [int(x, 16) for x in katan_oracle(
             [f"dec {key.value:020x} {block:08x}" for block in lanes(ciphertext)])]

@@ -78,6 +78,34 @@ print(json.dumps([len(acks), plain == payload]))
     assert run_python(code) == [3, True]
 
 
+def test_serving_builds_no_cipher_kernel():
+    # The kernels are compiled on their first call, which the server,
+    # holding no key, never makes: not even to ingest a message.
+    code = """
+import http.client, json, sys, tempfile, threading
+import katanpipe.cli
+from katanpipe import katan
+from katanpipe.codec import Envelope, encode_envelope
+from katanpipe.transport import BlobStore, create_server
+
+with tempfile.TemporaryDirectory() as data:
+    store = BlobStore(data)
+    server = create_server(("127.0.0.1", 0), store)
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02},
+                     daemon=True).start()
+    conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1])
+    conn.request("POST", "/api/v1/ingest",
+                 encode_envelope(Envelope("dev", 0, 0, 256, bytes(256))))
+    status = conn.getresponse().status
+    conn.close()
+    server.shutdown()
+    server.server_close()
+    store.close()
+print(json.dumps([status, katan._kernel.cache_info().currsize]))
+"""
+    assert run_python(code) == [200, 0]
+
+
 def third_party_imports(path):
     """Top-level names a module imports from outside the standard library
     and the package."""

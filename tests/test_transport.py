@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import random
@@ -388,6 +389,40 @@ class TestHttpServer:
         lines = head.decode("ascii").split("\r\n")
         assert lines[0].startswith(f"HTTP/1.1 {status} ")
         assert "connection: close" in [line.lower() for line in lines[1:]]
+
+    # Requests http.server turns away before any do_* method runs.
+    @pytest.mark.parametrize("request_bytes,status,reason", [
+        (b"PUT /api/v1/ingest HTTP/1.1\r\nHost: x\r\n\r\n", 501, "UnsupportedMethod"),
+        (b"HEAD /health HTTP/1.1\r\nHost: x\r\n\r\n", 501, "UnsupportedMethod"),
+        (b"GET /health HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+         431, "HeaderTooLarge"),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414, "RequestLineTooLong"),
+        (b"GARBAGE\r\n\r\n", 400, "MalformedRequest"),
+        (b"GET / HTTP/9.9\r\n\r\n", 505, "UnsupportedVersion"),
+    ])
+    def test_requests_http_server_refuses_get_typed_replies(
+            self, ingest_server, request_bytes, status, reason):
+        base, _ = ingest_server
+        port = int(base.rsplit(":", 1)[1])
+        replies = b""
+        with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
+            sock.sendall(request_bytes)
+            # The server closes with the rest of an overlong line unread,
+            # which may reset the connection after its reply.
+            with contextlib.suppress(ConnectionResetError):
+                while chunk := sock.recv(65536):
+                    replies += chunk
+        head, _, body = replies.partition(b"\r\n\r\n")
+        lines = head.decode("ascii").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        headers = dict(line.lower().split(": ", 1) for line in lines[1:])
+        assert headers["connection"] == "close"
+        assert headers["content-type"] == "application/json"
+        assert getattr(errors, reason).status == status
+        expected = json.dumps({"status": "rejected", "reason": reason}).encode()
+        assert int(headers["content-length"]) == len(expected)
+        assert body == (b"" if request_bytes.startswith(b"HEAD ") else expected)
+        assert requests.get(f"{base}/health", timeout=5).text == "ok"
 
     @pytest.mark.parametrize("chunked", [False, True])
     def test_get_with_a_body_closes_the_connection(self, ingest_server, chunked):
