@@ -24,11 +24,9 @@ from .katan import (
     decrypt_block,
     encrypt_batch,
     encrypt_block,
-    expand_key,
     extract_lane,
     format_key,
     insert_lane,
-    ir_sequence,
     parse_key,
     random_key,
 )

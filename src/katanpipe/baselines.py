@@ -33,11 +33,9 @@ PRESENT_ROUNDS = 31
 
 _SBOX = (0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD,
          0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2)
-_SBOX_INV = tuple(_SBOX.index(x) for x in range(16))
 
 # Bit i of the state moves to position 16*i mod 63; bit 63 is fixed.
 _PERM = tuple(16 * i % 63 for i in range(63)) + (63,)
-_PERM_INV = tuple(_PERM.index(i) for i in range(64))
 
 _MASK64 = (1 << 64) - 1
 _MASK76 = (1 << 76) - 1
@@ -84,32 +82,16 @@ def present_encrypt(block: int, key: int) -> int:
     return state ^ rks[PRESENT_ROUNDS]
 
 
-def present_decrypt(block: int, key: int) -> int:
-    """Inverse of present_encrypt."""
-    rks = present_round_keys(key)
-    state = (block & _MASK64) ^ rks[PRESENT_ROUNDS]
-    for i in range(PRESENT_ROUNDS - 1, -1, -1):
-        state = _perm_layer(state, _PERM_INV)
-        state = _sbox_layer(state, _SBOX_INV)
-        state ^= rks[i]
-    return state
-
-
 @lru_cache(maxsize=16)
-def _aes_ecb(key: bytes) -> tuple:
-    """One ECB encryptor and decryptor per key, shared by every caller in
-    one thread.  ECB keeps no state between whole blocks, so neither ever
-    needs ``finalize``."""
-    cipher = Cipher(algorithms.AES(key), modes.ECB())
-    return cipher.encryptor(), cipher.decryptor()
+def _aes_ecb(key: bytes):
+    """One ECB encryptor per key, shared by every caller in one thread.
+    ECB keeps no state between whole blocks, so it never needs
+    ``finalize``."""
+    return Cipher(algorithms.AES(key), modes.ECB()).encryptor()
 
 
 def _aes_encrypt(block: int, key: bytes) -> int:
-    return int.from_bytes(_aes_ecb(key)[0].update(block.to_bytes(16, "big")), "big")
-
-
-def _aes_decrypt(block: int, key: bytes) -> int:
-    return int.from_bytes(_aes_ecb(key)[1].update(block.to_bytes(16, "big")), "big")
+    return int.from_bytes(_aes_ecb(key).update(block.to_bytes(16, "big")), "big")
 
 
 @dataclass(frozen=True)
@@ -118,7 +100,6 @@ class CipherDescriptor:
 
     block_bits: int
     encrypt_one: Callable[[Any, Any], Any]
-    decrypt_one: Callable[[Any, Any], Any]
     sample_key: Callable[[Random], Any]
 
     @property
@@ -130,17 +111,15 @@ class CipherDescriptor:
 CIPHERS = {
     "KATAN32": CipherDescriptor(
         block_bits=32,
-        encrypt_one=katan.encrypt_block, decrypt_one=katan.decrypt_block,
-        sample_key=katan.random_key),
+        encrypt_one=katan.encrypt_block, sample_key=katan.random_key),
     "PRESENT": CipherDescriptor(
         block_bits=64,
-        encrypt_one=present_encrypt, decrypt_one=present_decrypt,
-        sample_key=lambda rng: rng.getrandbits(80)),
+        encrypt_one=present_encrypt, sample_key=lambda rng: rng.getrandbits(80)),
 }
 if _HAVE_AES:
     CIPHERS["AES-128"] = CipherDescriptor(
         block_bits=128,
-        encrypt_one=_aes_encrypt, decrypt_one=_aes_decrypt,
+        encrypt_one=_aes_encrypt,
         sample_key=lambda rng: rng.getrandbits(128).to_bytes(16, "big"))
 
 

@@ -181,17 +181,3 @@ def parse_table5_csv(text: str) -> list:
             raise ValueError(f"expected 'bytes,ms' row, got {line!r}")
         samples.append(ThroughputSample(int(parts[0]), float(parts[1]) / 1000.0))
     return samples
-
-
-def parse_report_csv(text: str) -> list:
-    """Parse emit_report csv output back into samples (average row skipped)."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"expected header {CSV_HEADER!r}")
-    samples = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if parts[0] == "average":
-            continue
-        samples.append(ThroughputSample(int(parts[0]), float(parts[2])))
-    return samples

@@ -16,6 +16,12 @@ where payload is standard base64 (with padding) of the ciphertext.
 cipher is always "KATAN32" (CIPHER), the only cipher the payload path
 runs: encode_envelope writes it, decode_envelope rejects any other name
 with UnknownCipher, and Envelope does not carry it.
+
+decode_envelope holds at most two payload-sized copies beside the body
+it is given: the text and the payload string while JSON is parsed, then
+the payload string and the ciphertext while base64 is decoded.  On
+Python 3.10 base64 first copies the payload string to ASCII bytes, so
+it holds one more there.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import base64
 import binascii
 import json
 import struct
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -147,8 +154,34 @@ def encode_envelope(env: Envelope) -> str:
     })
 
 
+if sys.version_info >= (3, 11):
+    def _a2b_strict(payload: str) -> bytes:
+        # What base64.b64decode(payload, validate=True) runs, minus its
+        # copy of the str to ASCII bytes: a2b_base64 reads an ASCII str
+        # in place.
+        return binascii.a2b_base64(payload, strict_mode=True)
+else:
+    def _a2b_strict(payload: str) -> bytes:
+        # 3.10 has no strict_mode.
+        return base64.b64decode(payload, validate=True)
+
+
+def _decode_payload(payload: str) -> bytes:
+    """Strict standard base64 (with padding) of ``payload``, or BadBase64."""
+    try:
+        return _a2b_strict(payload)
+    except (binascii.Error, ValueError):
+        # ValueError: a str with a non-ASCII character.
+        raise BadBase64("payload is not valid base64") from None
+
+
 def decode_envelope(text) -> Envelope:
-    """Parse and validate one envelope; the field set is closed."""
+    """Parse and validate one envelope; the field set is closed.
+
+    The text is dropped once parsed (for bytes, that frees the str decoded
+    from them), so base64 decoding holds only the payload string and the
+    ciphertext, plus an ASCII copy of the string on Python 3.10.
+    """
     if isinstance(text, (bytes, bytearray)):
         try:
             text = text.decode("utf-8")
@@ -161,6 +194,7 @@ def decode_envelope(text) -> Envelope:
         # Python's int-string digit limit, or RecursionError for arrays
         # or objects nested past the recursion limit.
         raise MalformedJson("body is not valid JSON") from None
+    del text
     if not isinstance(obj, dict):
         raise MalformedJson("envelope must be a JSON object")
     for name in ENVELOPE_FIELDS:
@@ -171,16 +205,12 @@ def decode_envelope(text) -> Envelope:
         raise MalformedJson(f"unexpected fields: {sorted(extras)}")
     if not isinstance(obj["payload"], str):
         raise MissingField("payload must be a string")
-    try:
-        ciphertext = base64.b64decode(obj["payload"], validate=True)
-    except (binascii.Error, ValueError):
-        raise BadBase64("payload is not valid base64") from None
     env = Envelope(
         device_id=obj["device_id"],
         seq=obj["seq"],
         ts_ms=obj["ts_ms"],
         plaintext_len=obj["plaintext_len"],
-        ciphertext=ciphertext,
+        ciphertext=_decode_payload(obj["payload"]),
     )
     _check_envelope(env, obj["cipher"])
     return env

@@ -35,23 +35,28 @@ def katan_oracle(tmp_path_factory):
 def live_server(tmp_path):
     """A factory for live ingest servers on ephemeral ports.
 
-    ``live_server(max_decoded=, handler=)`` starts one, serving with
-    ``handler`` in place of the ingest handler if one is given, and
-    returns its base URL and store.  Each is shut down, and its store
-    closed, when the test ends.
+    ``live_server(max_decoded=, handler=, tls=)`` starts one, serving
+    with ``handler`` in place of the ingest handler if one is given, and
+    over TLS with the server-side ``ssl.SSLContext`` ``tls`` if one is
+    given, and returns its base URL and store.  Each is shut down, and
+    its store closed, when the test ends.
     """
     started = []
 
-    def start(max_decoded=DEFAULT_MAX_DECODED, handler=None):
+    def start(max_decoded=DEFAULT_MAX_DECODED, handler=None, tls=None):
         store = BlobStore(tmp_path / f"data{len(started)}")
         server = create_server(("127.0.0.1", 0), store, max_decoded)
         if handler is not None:
             server.RequestHandlerClass = handler
+        scheme = "http"
+        if tls is not None:
+            server.socket = tls.wrap_socket(server.socket, server_side=True)
+            scheme = "https"
         started.append((server, store))
         # shutdown() waits up to one poll interval, 0.5 s by default.
         threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02},
                          daemon=True).start()
-        return f"http://127.0.0.1:{server.server_address[1]}", store
+        return f"{scheme}://127.0.0.1:{server.server_address[1]}", store
 
     yield start
     for server, store in started:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from katanpipe.baselines import present_decrypt, present_encrypt
+from katanpipe.baselines import present_encrypt
 from katanpipe.bench import (
     BenchReport,
     ThroughputSample,
@@ -201,7 +201,6 @@ def test_c8_present_published_vectors():
     ]
     for key, plain, cipher in vectors:
         assert present_encrypt(plain, key) == cipher
-        assert present_decrypt(cipher, key) == plain
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0

@@ -10,7 +10,6 @@ from katanpipe import baselines
 from katanpipe.baselines import (
     CIPHERS,
     get_cipher,
-    present_decrypt,
     present_encrypt,
     present_round_keys,
 )
@@ -31,14 +30,6 @@ class TestPresent:
     @pytest.mark.parametrize("key,plain,cipher", PRESENT_VECTORS)
     def test_published_vectors(self, key, plain, cipher):
         assert present_encrypt(plain, key) == cipher
-        assert present_decrypt(cipher, key) == plain
-
-    def test_round_trip(self):
-        rng = random.Random(67)
-        for _ in range(30):
-            key = rng.getrandbits(80)
-            block = rng.getrandbits(64)
-            assert present_decrypt(present_encrypt(block, key), key) == block
 
     def test_matches_bit_list_reference(self):
         rng = random.Random(71)
@@ -93,14 +84,6 @@ class TestRegistry:
         with pytest.raises(UnknownCipher):
             get_cipher("ROT13")
 
-    def test_every_descriptor_round_trips(self):
-        rng = random.Random(83)
-        for desc in CIPHERS.values():
-            key = desc.sample_key(rng)
-            for _ in range(5):
-                block = rng.getrandbits(desc.block_bits)
-                assert desc.decrypt_one(desc.encrypt_one(block, key), key) == block
-
     def test_aes_fips_vector(self):
         # FIPS-197 appendix C.1
         aes = get_cipher("AES-128")
@@ -108,7 +91,6 @@ class TestRegistry:
         plain = int("00112233445566778899aabbccddeeff", 16)
         cipher = int("69c4e0d86a7b0430d8cdb78070b4c55a", 16)
         assert aes.encrypt_one(plain, key) == cipher
-        assert aes.decrypt_one(cipher, key) == plain
 
     def test_without_cryptography_aes_is_not_registered(self):
         # `cryptography` is only in the test extra, so a plain install may

@@ -10,7 +10,6 @@ from katanpipe.bench import (
     emit_report,
     measure_cipher,
     measure_pipeline,
-    parse_report_csv,
     parse_table5_csv,
     round2,
     sends_per_second,
@@ -141,8 +140,9 @@ class TestEmitReport:
         assert len(lines) == 11
 
     def test_csv_round_trips(self):
-        out = emit_report(self.report(), "csv")
-        back = parse_report_csv(out)
+        rows = [line.split(",") for line in
+                emit_report(self.report(), "csv").splitlines()[1:-1]]
+        back = [ThroughputSample(int(row[0]), float(row[2])) for row in rows]
         assert [(s.n_bytes, s.elapsed_s) for s in back] \
             == [(s.n_bytes, s.elapsed_s) for s in self.report().samples]
         report = BenchReport("KATAN32", "replayed", tuple(back))
@@ -158,10 +158,6 @@ class TestEmitReport:
         for fmt in ("yaml", ""):
             with pytest.raises(ValueError, match="unknown report format"):
                 emit_report(self.report(), fmt)
-
-    def test_parse_report_csv_rejects_bad_header(self):
-        with pytest.raises(ValueError):
-            parse_report_csv("bytes,ms\n250,105\n")
 
 
 class TestMeasureCipher:

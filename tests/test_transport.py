@@ -1,8 +1,11 @@
 import contextlib
+import datetime
+import ipaddress
 import json
 import os
 import random
 import socket
+import ssl
 import threading
 import time
 from http.server import BaseHTTPRequestHandler
@@ -48,6 +51,39 @@ def make_body(device_id="dev", seq=0, n=300, key=None, seed=7, cipher="KATAN32")
     # encode_envelope always writes KATAN32, so relabel the encoded body.
     body = json.dumps(dict(json.loads(encode_envelope(env)), cipher=cipher))
     return body, data, key, ciphertext
+
+
+def self_signed_tls(tmp_path, host="127.0.0.1"):
+    """Write a self-signed certificate for the IP address ``host``; return
+    its path and a server-side SSLContext that presents it."""
+    pytest.importorskip("cryptography")
+    from cryptography import x509
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
+
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, host)])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (x509.CertificateBuilder()
+            .subject_name(name).issuer_name(name)
+            .public_key(key.public_key())
+            .serial_number(x509.random_serial_number())
+            .not_valid_before(now - datetime.timedelta(minutes=5))
+            .not_valid_after(now + datetime.timedelta(days=1))
+            .add_extension(x509.SubjectAlternativeName(
+                [x509.IPAddress(ipaddress.ip_address(host))]), critical=False)
+            .add_extension(x509.ExtendedKeyUsage(
+                [ExtendedKeyUsageOID.SERVER_AUTH]), critical=False)
+            .sign(key, hashes.SHA256()))
+    cert_file, key_file = tmp_path / "cert.pem", tmp_path / "key.pem"
+    cert_file.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    key_file.write_bytes(key.private_bytes(
+        serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+        serialization.NoEncryption()))
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert_file, key_file)
+    return cert_file, context
 
 
 def requests_response(content):
@@ -353,6 +389,16 @@ class TestHttpServer:
         assert resp.status_code == 400
         assert resp.json() == {"status": "rejected", "reason": "MalformedJson"}
 
+    def test_non_ascii_payload_is_bad_base64(self, ingest_server):
+        base, _ = ingest_server
+        obj = json.loads(make_body(n=256)[0])
+        obj["payload"] += "é"
+        body = json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        resp = requests.post(f"{base}/api/v1/ingest", data=body, timeout=5)
+        assert resp.status_code == 400
+        assert resp.json() == {"status": "rejected", "reason": "BadBase64"}
+        assert requests.get(f"{base}/health", timeout=5).text == "ok"
+
     @pytest.mark.parametrize("method,path", [
         ("POST", "/api/v1/ingest"), ("GET", "/api/v1/devices/dev/blob")])
     def test_unexpected_exception_is_500(self, ingest_server, monkeypatch, method, path):
@@ -637,6 +683,23 @@ class TestClient:
     def test_fetch_from_a_closed_port_is_connection_failed(self, fetch):
         with pytest.raises(errors.ConnectionFailed):
             fetch("http://127.0.0.1:9", "dev")
+
+    def test_https_round_trip(self, live_server, tmp_path, monkeypatch):
+        cert_file, tls = self_signed_tls(tmp_path)
+        # The client verifies against the default CA store, which this
+        # variable replaces.
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert_file))
+        base, _ = live_server(tls=tls)
+        assert base.startswith("https://")
+        key = make_key(8)
+        data = random.Random(8).randbytes(600)
+        acks = send_payload(base, "dev-t", key, data, per_chunk=True)
+        assert [(a.seq, a.stored) for a in acks] == [(0, 256), (1, 256), (2, 256)]
+        meta = fetch_remote_meta(base, "dev-t")
+        blob = fetch_remote_blob(base, "dev-t")
+        assert b"".join(
+            decrypt_payload(blob[m.offset:m.offset + m.length], m.plaintext_len, key)
+            for m in meta) == data
 
     def test_fetch_unknown_device(self, ingest_server):
         base, _ = ingest_server
