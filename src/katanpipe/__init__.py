@@ -4,8 +4,8 @@ The package root is the device library: the KATAN32 cipher (``katan``)
 and the chunking codec and JSON envelope (``codec``).  Importing it
 loads neither the HTTP stack nor the bench.  The other layers are
 imported by module path: ``katanpipe.transport`` (ingest server and
-client), ``katanpipe.bench``, ``katanpipe.baselines`` and
-``katanpipe.cli``.
+client), ``katanpipe.bench`` (with the PRESENT-80 and AES-128
+baselines) and ``katanpipe.cli``.
 """
 
 from .codec import (

@@ -1,4 +1,4 @@
-"""Throughput measurement and reporting.
+"""Throughput measurement and reporting, and the ciphers it times.
 
 Rates are in bits per second: a sample of B bytes over t seconds has
 bps = 8*B/t, and Kb/s divides that by 1000 (decimal kilobit, not 1024).
@@ -8,30 +8,50 @@ target line rate correspond to".
 
 A ThroughputSample needs n_bytes >= 0 and a finite elapsed_s > 0, and a
 BenchReport at least one sample; each type checks this when built.
+
+KATAN32 is the cipher this package is about; PRESENT-80 and AES-128 are
+the comparison points.  ``CIPHERS`` maps each name to a
+CipherDescriptor, so ``measure_cipher`` can drive any of them without
+knowing which one it has; each descriptor's ``sample_key`` produces
+whatever key object its ``encrypt_one`` expects.  PRESENT is implemented
+here directly (bit 0 is the least significant bit throughout).  AES-128
+is delegated to the `cryptography` package rather than re-implemented;
+it is in the table only when that package is importable.
 """
 
 from __future__ import annotations
 
 import math
 import platform
+import re
 import time
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from functools import lru_cache
 from random import Random
+from typing import Any, Callable
 
-from .baselines import get_cipher
 from .codec import CIPHER, encrypt_payload
 from .errors import (
     BadLength,
     EmptySamples,
     NonPositiveElapsed,
     NonPositiveInput,
+    UnknownCipher,
 )
-from .katan import Key80
+from .katan import Key80, encrypt_block, random_key
 from .transport import send_payload
+
+try:
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+    _HAVE_AES = True
+except ImportError:
+    _HAVE_AES = False
 
 CSV_HEADER = "bytes,bits,elapsed_s,bps,kbps"
 TABLE5_CSV_HEADER = "bytes,ms"
+# [0-9], not \d: in a str, \d also matches non-ASCII digits.
+_TABLE5_ROW = re.compile(r"([0-9]+)\s*,\s*([0-9]+(?:\.[0-9]+)?)")
 
 
 def round2(value: float) -> float:
@@ -84,15 +104,109 @@ class BenchReport:
         return round2(sum(s.kbps for s in self.samples) / len(self.samples))
 
 
+PRESENT_ROUNDS = 31
+
+_SBOX = (0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD,
+         0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2)
+
+# Bit i of the state moves to position 16*i mod 63; bit 63 is fixed.
+_PERM = tuple(16 * i % 63 for i in range(63)) + (63,)
+
+_MASK64 = (1 << 64) - 1
+_MASK76 = (1 << 76) - 1
+_MASK19 = (1 << 19) - 1
+
+
+@lru_cache(maxsize=16)
+def present_round_keys(key: int) -> tuple:
+    """The 32 round keys for an 80-bit PRESENT key."""
+    if not 0 <= key < (1 << 80):
+        raise ValueError("PRESENT key must be an int in [0, 2**80)")
+    k = key
+    out = []
+    for i in range(1, PRESENT_ROUNDS + 2):
+        out.append(k >> 16)
+        k = ((k & _MASK19) << 61) | (k >> 19)
+        k = (_SBOX[k >> 76] << 76) | (k & _MASK76)
+        k ^= i << 15
+    return tuple(out)
+
+
+def _sbox_layer(state: int) -> int:
+    out = 0
+    for j in range(16):
+        out |= _SBOX[(state >> (4 * j)) & 0xF] << (4 * j)
+    return out
+
+
+def _perm_layer(state: int) -> int:
+    out = 0
+    for b in range(64):
+        out |= ((state >> b) & 1) << _PERM[b]
+    return out
+
+
+def present_encrypt(block: int, key: int) -> int:
+    """PRESENT-80 on one 64-bit block."""
+    rks = present_round_keys(key)
+    state = block & _MASK64
+    for i in range(PRESENT_ROUNDS):
+        state ^= rks[i]
+        state = _sbox_layer(state)
+        state = _perm_layer(state)
+    return state ^ rks[PRESENT_ROUNDS]
+
+
+@lru_cache(maxsize=16)
+def _aes_ecb(key: bytes):
+    """One ECB encryptor per key, shared by every caller in one thread.
+    ECB keeps no state between whole blocks, so it never needs
+    ``finalize``."""
+    return Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+
+
+def _aes_encrypt(block: int, key: bytes) -> int:
+    return int.from_bytes(_aes_ecb(key).update(block.to_bytes(16, "big")), "big")
+
+
+@dataclass(frozen=True)
+class CipherDescriptor:
+    """One cipher as the bench sees it: its block size, a one-block
+    encryption of an int, and a key drawn from an RNG."""
+
+    block_bytes: int
+    encrypt_one: Callable[[Any, Any], Any]
+    sample_key: Callable[[Random], Any]
+
+
+# Every cipher the bench can time, by name, in report order.
+CIPHERS = {
+    "KATAN32": CipherDescriptor(
+        block_bytes=4, encrypt_one=encrypt_block, sample_key=random_key),
+    "PRESENT": CipherDescriptor(
+        block_bytes=8, encrypt_one=present_encrypt,
+        sample_key=lambda rng: rng.getrandbits(80)),
+}
+if _HAVE_AES:
+    CIPHERS["AES-128"] = CipherDescriptor(
+        block_bytes=16,
+        encrypt_one=_aes_encrypt,
+        sample_key=lambda rng: rng.getrandbits(128).to_bytes(16, "big"))
+
+
 def measure_cipher(name: str, *, total_bytes: int, repetitions: int,
                    rng: Random) -> BenchReport:
     """Time single-block encryption of ``total_bytes`` random bytes.
 
-    ``name`` is a key of ``baselines.CIPHERS``.  The key and then the
-    data are drawn from ``rng``.  Each repetition encrypts the same data
-    block by block and contributes one sample.
+    ``name`` is a key of ``CIPHERS``.  The key and then the data are
+    drawn from ``rng``.  Each repetition encrypts the same data block by
+    block and contributes one sample.
     """
-    cipher = get_cipher(name)
+    try:
+        cipher = CIPHERS[name]
+    except KeyError:
+        known = ", ".join(sorted(CIPHERS))
+        raise UnknownCipher(f"unknown cipher {name!r} (known: {known})") from None
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     block_bytes = cipher.block_bytes
@@ -170,14 +284,21 @@ def emit_report(report: BenchReport, fmt: str) -> str:
 
 
 def parse_table5_csv(text: str) -> list:
-    """Parse measurement rows of the form ``bytes,ms`` into samples."""
+    """Parse measurement rows of the form ``bytes,ms`` into samples.
+
+    Blank lines and whitespace around fields are skipped.  ``bytes`` is
+    ASCII digits and ``ms`` ASCII digits with an optional fraction: int()
+    and float() would also take a sign, "_", an exponent and non-ASCII
+    digits.
+    """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or lines[0].replace(" ", "") != TABLE5_CSV_HEADER:
+    if not lines or [field.strip() for field in lines[0].split(",")] != \
+            TABLE5_CSV_HEADER.split(","):
         raise ValueError(f"expected header {TABLE5_CSV_HEADER!r}")
     samples = []
     for line in lines[1:]:
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
+        row = _TABLE5_ROW.fullmatch(line)
+        if not row:
             raise ValueError(f"expected 'bytes,ms' row, got {line!r}")
-        samples.append(ThroughputSample(int(parts[0]), float(parts[1]) / 1000.0))
+        samples.append(ThroughputSample(int(row[1]), float(row[2]) / 1000.0))
     return samples

@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="ascii")
+        Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -245,8 +245,9 @@ def cmd_fetch(args) -> int:
     return 0
 
 
-# The bench commands import bench in their handlers: it loads baselines
-# (hence cryptography) and decimal, which serve, send and fetch never use.
+# The bench commands import bench in their handlers: it loads
+# cryptography (for its AES-128 baseline) and decimal, which serve, send
+# and fetch never use.
 
 def cmd_bench_cipher(args) -> int:
     from .bench import emit_report, measure_cipher

@@ -42,7 +42,7 @@ from .errors import (
     MissingField,
     UnknownCipher,
 )
-from .katan import BATCH_WORDS, Key80, _decrypt_words, _encrypt_words, _subkey_words
+from .katan import BATCH_WORDS, Key80, _kernel, _subkey_words
 
 CIPHER = "KATAN32"
 CHUNK_BYTES = 256
@@ -66,9 +66,10 @@ def _check_lengths(n: int, plaintext_len) -> None:
             f"plaintext_len {plaintext_len} impossible for {n} ciphertext bytes")
 
 
-def _crypt_slabs(kernel, data, key: Key80, keep: int) -> bytes:
-    """Run ``kernel`` over ``data`` a slab of up to SLAB_CHUNKS chunks at
-    a time and return the first ``keep`` bytes of the result.
+def _crypt_slabs(decrypt: bool, data, key: Key80, keep: int) -> bytes:
+    """Run one direction's kernel over ``data`` a slab of up to
+    SLAB_CHUNKS chunks at a time and return the first ``keep`` bytes of
+    the result.
 
     Word b of an n-chunk slab is one int holding word b of chunk c in
     bits 64c..64c+63.  A one-chunk slab is read and written with one
@@ -76,6 +77,7 @@ def _crypt_slabs(kernel, data, key: Key80, keep: int) -> bytes:
     and from_bytes/to_bytes fix little-endian.  Either way the host's
     byte order never enters.
     """
+    kernel = _kernel(decrypt)
     step = SLAB_CHUNKS * CHUNK_BYTES
     out = []
     for start in range(0, keep, step):
@@ -106,13 +108,13 @@ def encrypt_payload(data: bytes, key: Key80) -> tuple:
     if not data:
         raise EmptyInput("cannot encrypt an empty payload")
     padded = len(data) + -len(data) % CHUNK_BYTES
-    return _crypt_slabs(_encrypt_words, data, key, padded), len(data)
+    return _crypt_slabs(False, data, key, padded), len(data)
 
 
 def decrypt_payload(ciphertext: bytes, plaintext_len: int, key: Key80) -> bytes:
     """Decrypt and trim back to exactly ``plaintext_len`` bytes."""
     _check_lengths(len(ciphertext), plaintext_len)
-    return _crypt_slabs(_decrypt_words, ciphertext, key, plaintext_len)
+    return _crypt_slabs(True, ciphertext, key, plaintext_len)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ class BadLengthInvariant(KatanPipeError):
 
 
 class UnknownCipher(KatanPipeError):
-    """Cipher name is not in baselines.CIPHERS, or an envelope's is not KATAN32."""
+    """Cipher name is not in bench.CIPHERS, or an envelope's is not KATAN32."""
 
 
 # --- transport layer ---

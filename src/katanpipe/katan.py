@@ -199,24 +199,14 @@ def _kernel(decrypt: bool):
     return namespace["kernel"]
 
 
-def _encrypt_words(words, sk) -> list:
-    """All 254 rounds on 32 bitsliced words (0..18 are L2, 19..31 are L1)."""
-    return _kernel(False)(words, sk)
-
-
-def _decrypt_words(words, sk) -> list:
-    """Inverse of _encrypt_words, running the rounds backwards."""
-    return _kernel(True)(words, sk)
-
-
-def _crypt_block(kernel, block, key: Key80):
+def _crypt_block(decrypt: bool, block, key: Key80):
     # Nonzero wherever a block is negative or wider than 32 bits; a numpy
     # array gets one such value per element.
     high = block >> BLOCK_BITS
     if (high.any() if hasattr(high, "any") else high):
         raise ValueError("block must fit in 32 bits")
-    words = kernel([(block >> b) & 1 for b in range(BLOCK_BITS)],
-                   _subkey_words(key.value, 1))
+    words = _kernel(decrypt)([(block >> b) & 1 for b in range(BLOCK_BITS)],
+                             _subkey_words(key.value, 1))
     out = 0
     for b, w in enumerate(words):
         out |= w << b
@@ -225,12 +215,12 @@ def _crypt_block(kernel, block, key: Key80):
 
 def encrypt_block(block, key: Key80):
     """Encrypt one 32-bit block (or a numpy uint64 array, elementwise)."""
-    return _crypt_block(_encrypt_words, block, key)
+    return _crypt_block(False, block, key)
 
 
 def decrypt_block(block, key: Key80):
     """Inverse of encrypt_block."""
-    return _crypt_block(_decrypt_words, block, key)
+    return _crypt_block(True, block, key)
 
 
 def broadcast_key(key: Key80) -> BitslicedKey:
@@ -265,13 +255,13 @@ def encrypt_batch(batch: BitslicedBatch, key: BitslicedKey) -> BitslicedBatch:
     the scalar load order.
     """
     _check_batch(batch)
-    return tuple(_encrypt_words(batch, _subkey_words(_key_value(key), MASK64)))
+    return tuple(_kernel(False)(batch, _subkey_words(_key_value(key), MASK64)))
 
 
 def decrypt_batch(batch: BitslicedBatch, key: BitslicedKey) -> BitslicedBatch:
     """Inverse of encrypt_batch on the same word layout."""
     _check_batch(batch)
-    return tuple(_decrypt_words(batch, _subkey_words(_key_value(key), MASK64)))
+    return tuple(_kernel(True)(batch, _subkey_words(_key_value(key), MASK64)))
 
 
 def _check_lane(lane: int) -> None:

@@ -10,11 +10,11 @@ import time
 
 import numpy as np
 
-from katanpipe.baselines import present_encrypt
 from katanpipe.bench import (
     BenchReport,
     ThroughputSample,
     measure_cipher,
+    present_encrypt,
     sends_per_second,
 )
 from katanpipe.codec import decrypt_payload, encrypt_payload

@@ -1,15 +1,16 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from katanpipe import baselines
-from katanpipe.baselines import (
+from katanpipe import bench
+from katanpipe.bench import (
     CIPHERS,
-    get_cipher,
+    measure_cipher,
     present_encrypt,
     present_round_keys,
 )
@@ -68,25 +69,27 @@ class TestRegistry:
 
     def test_parameter_table(self):
         rng = random.Random(89)
-        katan = get_cipher("KATAN32")
-        assert katan.block_bits == 32 and katan.block_bytes == 4
+        katan = CIPHERS["KATAN32"]
+        assert katan.block_bytes == 4
         assert isinstance(katan.sample_key(rng), Key80)
-        present = get_cipher("PRESENT")
-        assert present.block_bits == 64
+        present = CIPHERS["PRESENT"]
+        assert present.block_bytes == 8
         present_key = present.sample_key(rng)
         assert type(present_key) is int and 0 <= present_key < 1 << 80
-        aes = get_cipher("AES-128")
-        assert aes.block_bits == 128 and aes.block_bytes == 16
+        aes = CIPHERS["AES-128"]
+        assert aes.block_bytes == 16
         aes_key = aes.sample_key(rng)
         assert type(aes_key) is bytes and len(aes_key) == 16
 
     def test_unknown_cipher(self):
-        with pytest.raises(UnknownCipher):
-            get_cipher("ROT13")
+        with pytest.raises(UnknownCipher, match=re.escape(
+                "unknown cipher 'ROT13' (known: AES-128, KATAN32, PRESENT)")):
+            measure_cipher("ROT13", total_bytes=16, repetitions=1,
+                           rng=random.Random(1))
 
     def test_aes_fips_vector(self):
         # FIPS-197 appendix C.1
-        aes = get_cipher("AES-128")
+        aes = CIPHERS["AES-128"]
         key = bytes(range(16))
         plain = int("00112233445566778899aabbccddeeff", 16)
         cipher = int("69c4e0d86a7b0430d8cdb78070b4c55a", 16)
@@ -98,19 +101,22 @@ class TestRegistry:
         code = """if True:
             import sys
             sys.modules["cryptography"] = None
-            from katanpipe.baselines import CIPHERS, get_cipher
+            from random import Random
+            from katanpipe.bench import CIPHERS, measure_cipher
             from katanpipe.cli import main
             from katanpipe.errors import UnknownCipher
             print(list(CIPHERS))
             try:
-                get_cipher("AES-128")
+                measure_cipher("AES-128", total_bytes=16, repetitions=1,
+                               rng=Random(1))
             except UnknownCipher as exc:
                 print(exc.reason)
             sys.exit(main(["bench", "cipher", "--cipher", "AES-128"]))
         """
-        env = dict(os.environ, PYTHONPATH=str(Path(baselines.__file__).parent.parent))
+        env = dict(os.environ, PYTHONPATH=str(Path(bench.__file__).parent.parent))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == "['KATAN32', 'PRESENT']\nUnknownCipher\n"
-        assert proc.stderr.startswith("error: unknown cipher 'AES-128'")
+        assert proc.stderr == \
+            "error: unknown cipher 'AES-128' (known: KATAN32, PRESENT)\n"

@@ -120,7 +120,11 @@ class TestTable5Csv:
         assert samples[0].elapsed_s == 0.105
 
     @pytest.mark.parametrize("text", ["", "b,ms\n250,105\n", "bytes,ms\n250\n",
-                                      "bytes,ms\n250,105,9\n"])
+                                      "bytes,ms\n250,105,9\n",
+                                      "bytes,ms\n2_50,1_05\n", "bytes,ms\n+250,1e2\n",
+                                      "bytes,ms\n250,-105\n", "bytes,ms\n250,105.\n",
+                                      "bytes,ms\n\uff12\uff15\uff10,105\n",
+                                      "by tes,ms\n250,105\n"])
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_table5_csv(text)

@@ -232,6 +232,17 @@ class TestBenchCommands:
         assert code == 0 and out == ""
         assert out_path.read_text().endswith("average,,,,11.12\n")
 
+    def test_table5_to_file_from_non_ascii_path(self, capsys, tmp_path):
+        # The report's environment line names the CSV's path.
+        csv_path = tmp_path / "donn\u00e9es.csv"
+        csv_path.write_text(TABLE5_CSV)
+        out_path = tmp_path / "report.txt"
+        code, out, err = run_cli(capsys, "bench", "table5", "--csv", str(csv_path),
+                                 "--out", str(out_path))
+        assert code == 0 and out == "" and err == ""
+        assert out_path.read_text(encoding="utf-8").splitlines()[1] == \
+            f"environment  replayed from {csv_path}"
+
     def test_table5_malformed_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text("wrong,header\n1,2\n")

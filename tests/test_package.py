@@ -20,11 +20,10 @@ SRC = Path(errors.__file__).parent
 
 # Modules a device that only encrypts has no use for.
 SERVER_SIDE = ["requests", "cryptography", "http.server", "katanpipe.transport",
-               "katanpipe.bench", "katanpipe.baselines"]
+               "katanpipe.bench"]
 
 # Modules `katanpipe serve`, `send` and `fetch` have no use for.
-BENCH_SIDE = ["requests", "urllib3", "cryptography", "decimal",
-              "katanpipe.bench", "katanpipe.baselines"]
+BENCH_SIDE = ["requests", "urllib3", "cryptography", "decimal", "katanpipe.bench"]
 
 
 def run_python(code):
@@ -120,10 +119,10 @@ def third_party_imports(path):
 
 def test_runtime_needs_only_the_standard_library():
     found = {path.name: third_party_imports(path) for path in SRC.glob("*.py")}
-    # The one exception: baselines puts AES-128 in its cipher table only
-    # if its guarded import of cryptography succeeds.
+    # The one exception: bench puts AES-128 in its cipher table only if
+    # its guarded import of cryptography succeeds.
     assert {name: mods for name, mods in found.items() if mods} == {
-        "baselines.py": {"cryptography"}}
+        "bench.py": {"cryptography"}}
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project.get("dependencies", []) == []

@@ -221,17 +221,29 @@ class TestBlobStore:
         finally:
             store.close()
 
-    def test_failed_append_leaves_no_partial_record(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fault, message", [
+        pytest.param("fsync", "disk gone", id="fsync"),
+        pytest.param("short-write", "short write", id="short-write")])
+    def test_failed_append_leaves_no_partial_record(self, tmp_path, monkeypatch,
+                                                    fault, message):
         store = BlobStore(tmp_path)
         first = store.append("a", b"\x01" * 256, seq=0, ts_ms=1, plaintext_len=256)
         size = (tmp_path / LOG_NAME).stat().st_size
+        pwritev = os.pwritev
 
         def failing_fsync(fd):
             raise OSError("disk gone")
 
+        def short_pwritev(fd, buffers, offset):
+            # Really writes the record, all but its last byte.
+            return pwritev(fd, [b"".join(buffers)[:-1]], offset)
+
         with monkeypatch.context() as m:
-            m.setattr(os, "fsync", failing_fsync)
-            with pytest.raises(OSError):
+            if fault == "fsync":
+                m.setattr(os, "fsync", failing_fsync)
+            else:
+                m.setattr(os, "pwritev", short_pwritev)
+            with pytest.raises(OSError, match=message):
                 store.append("a", b"\x02" * 256, seq=1, ts_ms=2, plaintext_len=256)
         assert (tmp_path / LOG_NAME).stat().st_size == size
         assert store.fetch_meta("a") == [first]
