@@ -234,12 +234,15 @@ def cmd_send(args) -> int:
 def cmd_fetch(args) -> int:
     if not args.blob_out and not args.meta_out:
         raise _UsageError("fetch needs --blob-out and/or --meta-out")
+    # The meta first: a message stored between the two requests then lies
+    # past the records in the blob, not in the meta past the blob's end.
+    if args.meta_out:
+        records = fetch_remote_meta(args.server, args.device)
     if args.blob_out:
         blob = fetch_remote_blob(args.server, args.device)
         Path(args.blob_out).write_bytes(blob)
         print(f"blob {len(blob)} bytes -> {args.blob_out}")
     if args.meta_out:
-        records = fetch_remote_meta(args.server, args.device)
         Path(args.meta_out).write_text(format_meta(records), encoding="ascii")
         print(f"meta {len(records)} record(s) -> {args.meta_out}")
     return 0

@@ -17,11 +17,12 @@ cipher is always "KATAN32" (CIPHER), the only cipher the payload path
 runs: encode_envelope writes it, decode_envelope rejects any other name
 with UnknownCipher, and Envelope does not carry it.
 
-decode_envelope holds at most two payload-sized copies beside the body
-it is given: the text and the payload string while JSON is parsed, then
-the payload string and the ciphertext while base64 is decoded.  On
-Python 3.10 base64 first copies the payload string to ASCII bytes, so
-it holds one more there.
+decode_envelope reads a bytes body in encode_envelope's layout in place:
+it parses only the fields before the payload and decodes the base64
+straight from the body, so the ciphertext is the one payload-sized copy
+it holds beside the body.  Any other input (a str, or bytes laid out
+differently) is parsed whole, which holds the text and the payload
+string, then the payload string and the ciphertext.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import re
 import struct
 import sys
 from dataclasses import dataclass
@@ -157,18 +159,30 @@ def encode_envelope(env: Envelope) -> str:
 
 
 if sys.version_info >= (3, 11):
-    def _a2b_strict(payload: str) -> bytes:
+    def _a2b_strict(payload) -> bytes:
         # What base64.b64decode(payload, validate=True) runs, minus its
-        # copy of the str to ASCII bytes: a2b_base64 reads an ASCII str
-        # in place.
+        # copy to bytes: a2b_base64 reads an ASCII str or a buffer in place.
         return binascii.a2b_base64(payload, strict_mode=True)
 else:
-    def _a2b_strict(payload: str) -> bytes:
-        # 3.10 has no strict_mode.
-        return base64.b64decode(payload, validate=True)
+    # 3.10 has no strict_mode, and b64decode(validate=True) also accepts
+    # excess padding ("=", "AAA==").  So check strict_mode's rule first:
+    # data characters, then only "=": two after a last group of 2, one
+    # after a last group of 3, and any number after whole groups of 4 as
+    # long as there is data.
+    _B64_STR = re.compile(r"[A-Za-z0-9+/]*(=*)")
+    _B64_BYTES = re.compile(rb"[A-Za-z0-9+/]*(=*)")
+
+    def _a2b_strict(payload) -> bytes:
+        m = (_B64_STR if isinstance(payload, str) else _B64_BYTES).fullmatch(payload)
+        if m:
+            data, pad = m.start(1), len(payload) - m.start(1)
+            if ((data % 4 == 0 and (pad == 0 or data > 0))
+                    or (data % 4, pad) in ((2, 2), (3, 1))):
+                return binascii.a2b_base64(payload)
+        raise binascii.Error("invalid base64")
 
 
-def _decode_payload(payload: str) -> bytes:
+def _decode_payload(payload) -> bytes:
     """Strict standard base64 (with padding) of ``payload``, or BadBase64."""
     try:
         return _a2b_strict(payload)
@@ -177,13 +191,34 @@ def _decode_payload(payload: str) -> bytes:
         raise BadBase64("payload is not valid base64") from None
 
 
-def decode_envelope(text) -> Envelope:
-    """Parse and validate one envelope; the field set is closed.
+_PAYLOAD_MARK = b', "payload": "'
 
-    The text is dropped once parsed (for bytes, that frees the str decoded
-    from them), so base64 decoding holds only the payload string and the
-    ciphertext, plus an ASCII copy of the string on Python 3.10.
+
+def _split_canonical(body):
+    """The other five fields and the ciphertext of a body laid out as
+    encode_envelope writes it, or None for any other body.
+
+    Only the bytes before the last payload key are parsed as JSON, with a
+    closing brace put back; the base64 is decoded from a view of the body.
+    That head must be an object with exactly the five other fields and the
+    payload must be strict base64, so it has no quote or escape, and the
+    whole body then parses to the same object.  Anything else is left to
+    the full parse, which reports it.
     """
+    mark = body.rfind(_PAYLOAD_MARK, 0, len(body) - 2)
+    if mark < 0 or not body.endswith(b'"}'):
+        return None
+    try:
+        head = json.loads((body[:mark] + b"}").decode("utf-8"))
+        if isinstance(head, dict) and head.keys() == set(ENVELOPE_FIELDS[:-1]):
+            return head, _a2b_strict(memoryview(body)[mark + len(_PAYLOAD_MARK):-2])
+    except (ValueError, RecursionError):
+        pass  # not UTF-8, not JSON or not strict base64
+    return None
+
+
+def _parse(text) -> dict:
+    """The envelope object of ``text``, checked for its field set."""
     if isinstance(text, (bytes, bytearray)):
         try:
             text = text.decode("utf-8")
@@ -196,7 +231,6 @@ def decode_envelope(text) -> Envelope:
         # Python's int-string digit limit, or RecursionError for arrays
         # or objects nested past the recursion limit.
         raise MalformedJson("body is not valid JSON") from None
-    del text
     if not isinstance(obj, dict):
         raise MalformedJson("envelope must be a JSON object")
     for name in ENVELOPE_FIELDS:
@@ -207,12 +241,30 @@ def decode_envelope(text) -> Envelope:
         raise MalformedJson(f"unexpected fields: {sorted(extras)}")
     if not isinstance(obj["payload"], str):
         raise MissingField("payload must be a string")
+    return obj
+
+
+def decode_envelope(text) -> Envelope:
+    """Parse and validate one envelope; the field set is closed.
+
+    A bytes body in encode_envelope's layout is read in place, holding
+    only the ciphertext beside it.  Any other body is parsed whole: the
+    text is dropped once parsed, so base64 decoding holds the payload
+    string and the ciphertext.  Both ways accept the same envelopes and
+    raise the same errors.
+    """
+    split = _split_canonical(text) if isinstance(text, (bytes, bytearray)) else None
+    if split:
+        obj, ciphertext = split
+    else:
+        obj = _parse(text)
+        ciphertext = _decode_payload(obj["payload"])
     env = Envelope(
         device_id=obj["device_id"],
         seq=obj["seq"],
         ts_ms=obj["ts_ms"],
         plaintext_len=obj["plaintext_len"],
-        ciphertext=_decode_payload(obj["payload"]),
+        ciphertext=ciphertext,
     )
     _check_envelope(env, obj["cipher"])
     return env

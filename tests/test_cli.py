@@ -5,6 +5,7 @@ import sys
 import pytest
 import requests
 
+from katanpipe import cli
 from katanpipe.cli import build_parser, main
 from katanpipe.katan import Key80, format_key, parse_key, random_key
 from katanpipe.transport import send_payload
@@ -168,6 +169,38 @@ class TestServerCommands:
                              "--meta-out", str(tmp_path / "m.txt"))
         body = requests.get(f"{base}/api/v1/devices/mo/meta", timeout=5).content
         assert code == 0 and (tmp_path / "m.txt").read_bytes() == body
+
+    def test_message_stored_during_fetch_still_decrypts(self, capsys, tmp_path,
+                                                        ingest_server, monkeypatch):
+        # Whichever GET fetch makes first, one more message is stored
+        # before the second, so the blob and the meta disagree by it.
+        base, _ = ingest_server
+        key_file = tmp_path / "key.txt"
+        run_cli(capsys, "keygen", "--seed", "8", "--out", str(key_file))
+        key = parse_key(key_file.read_text())
+        send_payload(base, "race", key, b"first" * 100)
+        late = []
+
+        def storing_one_more(fetch):
+            def wrapper(*args):
+                result = fetch(*args)
+                if not late:
+                    late.append(send_payload(base, "race", key, b"second" * 100))
+                return result
+            return wrapper
+
+        for name in ("fetch_remote_blob", "fetch_remote_meta"):
+            monkeypatch.setattr(cli, name, storing_one_more(getattr(cli, name)))
+        code, _, _ = run_cli(capsys, "fetch", "--server", base, "--device", "race",
+                             "--blob-out", str(tmp_path / "b.bin"),
+                             "--meta-out", str(tmp_path / "m.txt"))
+        assert code == 0 and late
+        code, _, err = run_cli(capsys, "decrypt", "--key", str(key_file),
+                               "--in", str(tmp_path / "b.bin"),
+                               "--out", str(tmp_path / "r.bin"),
+                               "--meta", str(tmp_path / "m.txt"))
+        assert (code, err) == (0, "")
+        assert (tmp_path / "r.bin").read_bytes() == b"first" * 100
 
     def test_fetch_requires_an_output(self, capsys, ingest_server):
         base, _ = ingest_server
